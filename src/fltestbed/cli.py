@@ -30,7 +30,8 @@ EXIT_TIMEOUT = 2
 def _add_common_node_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--fl-srv-id", type=int, default=None,
-                   help="server node id (default: the example's canonical one)")
+                   help="server node id (default: the example's canonical one, "
+                        "clamped to the last node in smaller federations)")
     p.add_argument("--base-port", type=int, default=6000)
     p.add_argument("--iters", type=int, default=1)
     p.add_argument("--seed", type=int, default=None,
@@ -86,9 +87,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fl_srv_id(args, spec, no_nodes: int) -> int:
+    """--fl-srv-id if given, else the default verify uses for this many nodes."""
+    if args.fl_srv_id is not None:
+        return args.fl_srv_id
+    return harness.effective_fl_srv_id(spec, no_nodes)
+
+
 def cmd_node(args) -> int:
     spec = get_example(args.example)
-    fl_srv_id = args.fl_srv_id if args.fl_srv_id is not None else spec.default_fl_srv_id
+    fl_srv_id = _fl_srv_id(args, spec, args.no_nodes)
     ldata_arr = dataset_for(spec, args.no_nodes, args.seed)
     kwargs = {}
     if args.recv_timeout is not None:
@@ -118,7 +126,7 @@ def cmd_node(args) -> int:
 
 def cmd_launch(args) -> int:
     spec = get_example(args.example)
-    fl_srv_id = args.fl_srv_id if args.fl_srv_id is not None else spec.default_fl_srv_id
+    fl_srv_id = _fl_srv_id(args, spec, args.nodes)
     program = [sys.executable, "-m", "fltestbed", "node",
                "--example", str(args.example), "--iters", str(args.iters)]
     if args.seed is not None:

@@ -118,8 +118,7 @@ class FlInstance:
         with self._begin_run():
             if cfg.node_id == cfg.fl_srv_id:
                 for k in range(iters):
-                    for dst in peers:
-                        self._transport.send(Envelope(cfg.node_id, dst, Phase.SRV_DATA, k, ldata))
+                    self._transport.broadcast(peers, Phase.SRV_DATA, k, ldata)
                     self._fault_point("srv")
                     replies = self._transport.recv_matching(Phase.CLI_DATA, k, cfg.no_nodes - 1)
                     msgs = [env.payload for env in replies]
@@ -150,8 +149,7 @@ class FlInstance:
         with self._begin_run():
             for k in range(iters):
                 start = ldata  # phase II replies are computed from this snapshot
-                for dst in peers:
-                    self._transport.send(Envelope(cfg.node_id, dst, Phase.DEC_P1, k, start))
+                self._transport.broadcast(peers, Phase.DEC_P1, k, start)
                 broadcasts = self._transport.recv_matching(Phase.DEC_P1, k, cfg.no_nodes - 1)
                 # "after p1" fires once phase I is complete at this node (its
                 # broadcasts sent and every peer's collected), so survivors of

@@ -6,9 +6,11 @@ text object with keys src, dst, phase, iter, payload in that order, payload
 in canonical value form. Messages that do not match the (phase, iteration)
 a node is currently waiting for stay buffered, never dropped.
 
-The in-process loopback transport shares the same surface and the same
-serialize/deserialize path, so the two are observationally equivalent and
-the protocol tests run against both.
+A broadcast encodes its payload once and puts a per-peer header in front
+of the same bytes. The in-process loopback transport shares the same surface
+and the same serialize/deserialize path: every receiver decodes its own copy
+of the frame, so the two are observationally equivalent and the protocol
+tests run against both.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import struct
 import threading
 import time
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import ParseError, ProtocolTimeout, SerializationError, TransportError, UsageError
@@ -35,6 +38,17 @@ class Phase(enum.Enum):
     DEC_P2 = "DEC_P2"      # per-peer reply (decentralized phase II)
 
 
+def _check_route(src: int, dst: int, phase: Phase, iteration: int) -> None:
+    """Raise UsageError unless these are valid envelope header fields."""
+    for name, v in (("src", src), ("dst", dst), ("iter", iteration)):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            raise UsageError(f"envelope {name} must be a non-negative integer, got {v!r}")
+    if src == dst:
+        raise UsageError(f"envelope src and dst must differ, both are {src}")
+    if not isinstance(phase, Phase):
+        raise UsageError(f"envelope phase must be a Phase, got {phase!r}")
+
+
 @dataclass(frozen=True)
 class Envelope:
     src: int
@@ -44,14 +58,7 @@ class Envelope:
     payload: Value
 
     def __post_init__(self):
-        for name in ("src", "dst", "iter"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise UsageError(f"envelope {name} must be a non-negative integer, got {v!r}")
-        if self.src == self.dst:
-            raise UsageError(f"envelope src and dst must differ, both are {self.src}")
-        if not isinstance(self.phase, Phase):
-            raise UsageError(f"envelope phase must be a Phase, got {self.phase!r}")
+        _check_route(self.src, self.dst, self.phase, self.iter)
         validate_value(self.payload)
 
 
@@ -74,11 +81,15 @@ class TransportConfig:
 
 def encode_frame(env: Envelope) -> bytes:
     """Full wire frame (length prefix + body) for one envelope."""
-    body = (
-        '{"src":%d,"dst":%d,"phase":"%s","iter":%d,"payload":%s}'
-        % (env.src, env.dst, env.phase.value, env.iter, dumps(env.payload))
-    ).encode("ascii")
-    return struct.pack("!I", len(body)) + body
+    return _frame(env.src, env.dst, env.phase, env.iter, dumps(env.payload).encode("ascii"))
+
+
+def _frame(src: int, dst: int, phase: Phase, iteration: int, payload: bytes) -> bytes:
+    """Wire frame around a payload that is already in canonical text."""
+    head = b'{"src":%d,"dst":%d,"phase":"%s","iter":%d,"payload":' % (
+        src, dst, phase.value.encode("ascii"), iteration
+    )
+    return b"".join((struct.pack("!I", len(head) + len(payload) + 1), head, payload, b"}"))
 
 
 def decode_body(body: bytes) -> Envelope:
@@ -95,14 +106,13 @@ def decode_body(body: bytes) -> Envelope:
         phase = Phase(obj["phase"])
     except ValueError:
         raise ParseError(f"unknown phase tag {obj['phase']!r}", 0) from None
-    try:
-        validate_value(obj["payload"])
-    except SerializationError as e:
-        raise ParseError(f"invalid payload: {e}") from None
+    # constructing the Envelope is the one payload validation on receipt
     try:
         return Envelope(
             src=obj["src"], dst=obj["dst"], phase=phase, iter=obj["iter"], payload=obj["payload"]
         )
+    except SerializationError as e:
+        raise ParseError(f"invalid payload: {e}") from None
     except UsageError as e:
         raise ParseError(f"invalid envelope fields: {e}") from None
 
@@ -125,11 +135,13 @@ class _MessageBuffer:
         self._buckets: dict[tuple[Phase, int], list[Envelope]] = defaultdict(list)
         self._error: Exception | None = None
         self.arrivals: list[tuple[int, Phase, int]] = []  # (src, phase, iter) in arrival order
+        self.received_from: Counter[int] = Counter()
 
     def put(self, env: Envelope) -> None:
         with self._cond:
             self._buckets[(env.phase, env.iter)].append(env)
             self.arrivals.append((env.src, env.phase, env.iter))
+            self.received_from[env.src] += 1
             self._cond.notify_all()
 
     def fail(self, exc: Exception) -> None:
@@ -187,25 +199,82 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
     return b"".join(chunks)
 
 
-class TcpTransport:
+class _Transport:
+    """Send and receive surface shared by TcpTransport and LoopbackTransport.
+
+    A handle belongs to one protocol loop: send/broadcast/recv_matching are
+    called from a single logical thread. Subclasses supply _deliver, which
+    moves one encoded frame to its destination.
+    """
+
+    def __init__(self, node_id: int, no_nodes: int, recv_timeout: float, buffer: _MessageBuffer):
+        self.node_id = node_id
+        self.no_nodes = no_nodes
+        self.recv_timeout = recv_timeout
+        self.sent_to: Counter[int] = Counter()
+        self._buffer = buffer
+        self._closed = False
+
+    @property
+    def received_from(self) -> Counter[int]:
+        return self._buffer.received_from
+
+    def send(self, env: Envelope) -> None:
+        self._send(env.src, (env.dst,), env.phase, env.iter, env.payload)
+
+    def broadcast(self, dsts: Iterable[int], phase: Phase, iteration: int, payload: Value) -> None:
+        """Send one payload to every node in dsts, encoding it once.
+
+        Each frame is byte-identical to encode_frame of the matching Envelope.
+        """
+        self._send(self.node_id, tuple(dsts), phase, iteration, payload)
+
+    def _send(
+        self, src: int, dsts: tuple[int, ...], phase: Phase, iteration: int, payload: Value
+    ) -> None:
+        if self._closed:
+            raise UsageError("transport is closed")
+        if src != self.node_id:
+            raise UsageError(f"envelope src {src} does not match sending node {self.node_id}")
+        for dst in dsts:
+            _check_route(src, dst, phase, iteration)
+            if not dst < self.no_nodes:
+                raise UsageError(f"envelope dst {dst} out of range for {self.no_nodes} nodes")
+        text = dumps(payload).encode("ascii")  # validates the payload
+        for dst in dsts:
+            self._deliver(dst, phase, iteration, _frame(src, dst, phase, iteration, text))
+            self.sent_to[dst] += 1
+
+    def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
+        raise NotImplementedError
+
+    def recv_matching(self, phase: Phase, iteration: int, expected_count: int) -> list[Envelope]:
+        if self._closed:
+            raise UsageError("transport is closed")
+        return self._buffer.take(
+            phase,
+            iteration,
+            expected_count,
+            self.recv_timeout,
+            node_id=self.node_id,
+            no_nodes=self.no_nodes,
+        )
+
+
+class TcpTransport(_Transport):
     """Wire transport for one node; owns the listening socket.
 
-    A handle belongs to one protocol loop: send/recv_matching are called from
-    a single logical thread. Internal reader threads only feed the buffer.
+    Internal reader threads only feed the buffer.
     """
 
     def __init__(self, cfg: TransportConfig, node_id: int):
         if not (0 <= node_id < cfg.no_nodes):
             raise UsageError(f"node id {node_id} out of range for {cfg.no_nodes} nodes")
+        super().__init__(node_id, cfg.no_nodes, cfg.recv_timeout, _MessageBuffer())
         self.cfg = cfg
-        self.node_id = node_id
         self.port = cfg.base_port + node_id
-        self.sent_to: Counter[int] = Counter()
-        self.received_from: Counter[int] = Counter()
-        self._buffer = _MessageBuffer()
         self._out: dict[int, socket.socket] = {}
         self._conns: list[socket.socket] = []
-        self._closed = False
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -242,9 +311,7 @@ class TcpTransport:
                 if body is None:
                     self._buffer.fail(TransportError("peer closed mid-frame"))
                     return
-                env = decode_body(body)
-                self.received_from[env.src] += 1
-                self._buffer.put(env)
+                self._buffer.put(decode_body(body))
         except OSError:
             return  # our own close
         except Exception as e:  # malformed frame: poison pending receives
@@ -268,36 +335,16 @@ class TcpTransport:
                     ) from e
                 time.sleep(self.cfg.retry_interval)
 
-    def send(self, env: Envelope) -> None:
-        if self._closed:
-            raise UsageError("transport is closed")
-        if env.src != self.node_id:
-            raise UsageError(f"envelope src {env.src} does not match sending node {self.node_id}")
-        if not env.dst < self.cfg.no_nodes:
-            raise UsageError(f"envelope dst {env.dst} out of range for {self.cfg.no_nodes} nodes")
-        frame = encode_frame(env)
+    def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
         try:
-            sock = self._out.get(env.dst)
+            sock = self._out.get(dst)
             if sock is None:
-                sock = self._connect(env.dst)
+                sock = self._connect(dst)
             sock.sendall(frame)
         except (OSError, TransportError) as e:
             raise TransportError(
-                f"send to node {env.dst} failed ({env.phase.value} iteration {env.iter}): {e}"
+                f"send to node {dst} failed ({phase.value} iteration {iteration}): {e}"
             ) from e
-        self.sent_to[env.dst] += 1
-
-    def recv_matching(self, phase: Phase, iteration: int, expected_count: int) -> list[Envelope]:
-        if self._closed:
-            raise UsageError("transport is closed")
-        return self._buffer.take(
-            phase,
-            iteration,
-            expected_count,
-            self.cfg.recv_timeout,
-            node_id=self.node_id,
-            no_nodes=self.cfg.no_nodes,
-        )
 
     def close(self) -> None:
         if self._closed:
@@ -323,11 +370,7 @@ class TcpTransport:
 
 
 class LoopbackHub:
-    """In-process rendezvous for a whole federation; one buffer per node.
-
-    Tracks the multiset of sent and delivered frames so tests can assert
-    no-loss/no-duplication directly.
-    """
+    """In-process rendezvous for a whole federation; one buffer per node."""
 
     def __init__(self, no_nodes: int, recv_timeout: float = 30.0):
         if no_nodes < 2:
@@ -335,10 +378,6 @@ class LoopbackHub:
         self.no_nodes = no_nodes
         self.recv_timeout = recv_timeout
         self._buffers = [_MessageBuffer() for _ in range(no_nodes)]
-        self._stats_lock = threading.Lock()
-        self.sent: Counter[bytes] = Counter()
-        self.delivered: Counter[bytes] = Counter()
-        self._received_from: list[Counter[int]] = [Counter() for _ in range(no_nodes)]
 
     def transport(self, node_id: int) -> "LoopbackTransport":
         if not (0 <= node_id < self.no_nodes):
@@ -349,48 +388,17 @@ class LoopbackHub:
         return [self.transport(i) for i in range(self.no_nodes)]
 
 
-class LoopbackTransport:
+class LoopbackTransport(_Transport):
     """Same contract as TcpTransport, delivered through shared queues."""
 
     def __init__(self, hub: LoopbackHub, node_id: int):
+        super().__init__(node_id, hub.no_nodes, hub.recv_timeout, hub._buffers[node_id])
         self.hub = hub
-        self.node_id = node_id
-        self.sent_to: Counter[int] = Counter()
-        self._closed = False
 
-    @property
-    def received_from(self) -> Counter[int]:
-        return self.hub._received_from[self.node_id]
-
-    def send(self, env: Envelope) -> None:
-        if self._closed:
-            raise UsageError("transport is closed")
-        if env.src != self.node_id:
-            raise UsageError(f"envelope src {env.src} does not match sending node {self.node_id}")
-        if not env.dst < self.hub.no_nodes:
-            raise UsageError(f"envelope dst {env.dst} out of range for {self.hub.no_nodes} nodes")
-        # Round-trip through the wire codec: copies the payload and enforces
-        # exactly the validation a TCP hop would.
-        frame = encode_frame(env)
-        delivered = decode_frame(frame)
-        with self.hub._stats_lock:
-            self.hub.sent[frame] += 1
-            self.hub.delivered[frame] += 1
-            self.hub._received_from[env.dst][env.src] += 1
-        self.sent_to[env.dst] += 1
-        self.hub._buffers[env.dst].put(delivered)
-
-    def recv_matching(self, phase: Phase, iteration: int, expected_count: int) -> list[Envelope]:
-        if self._closed:
-            raise UsageError("transport is closed")
-        return self.hub._buffers[self.node_id].take(
-            phase,
-            iteration,
-            expected_count,
-            self.hub.recv_timeout,
-            node_id=self.node_id,
-            no_nodes=self.hub.no_nodes,
-        )
+    def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
+        # Each receiver decodes its own copy of the frame, with exactly the
+        # validation a TCP hop would apply.
+        self.hub._buffers[dst].put(decode_frame(frame))
 
     def close(self) -> None:
         self._closed = True

@@ -39,8 +39,26 @@ def is_number(v: object) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_float_list(v: object) -> bool:
+    """True for a list whose items are all exactly float: the fast-path shape."""
+    return type(v) is list and all(type(x) is float for x in v)
+
+
+def _check_floats(v: list[float]) -> None:
+    """Reject a non-finite item of a float list in one pass over the floats."""
+    # Any inf or nan makes the sum non-finite; an overflowing sum of finite
+    # items does too, so only then look at each item.
+    if not math.isfinite(sum(v)):
+        for x in v:
+            if not math.isfinite(x):
+                raise SerializationError(f"non-finite number in payload: {x!r}")
+
+
 def validate_value(v: Value, _top: bool = True) -> None:
     """Raise SerializationError unless ``v`` is a well-formed payload."""
+    if _is_float_list(v):
+        _check_floats(v)
+        return
     if v is None:
         if not _top:
             raise SerializationError("absent payload (None) is not allowed inside a sequence")
@@ -87,11 +105,27 @@ def dumps(v: Value) -> str:
 
 
 def _write(v: Value) -> str:
+    if _is_float_list(v):
+        return _write_floats(v)
     if v is None:
         return "null"
     if isinstance(v, list):
         return "[" + ",".join(_write(item) for item in v) + "]"
     return format_number(v)
+
+
+def _write_floats(v: list[float]) -> str:
+    """format_number over a list of finite floats, with one repr per item.
+
+    Below 1e16 the repr of an integral double is its integer digits plus
+    ".0", which format_number drops ("2.0" -> "2", "-0.0" -> "-0"). From
+    1e16 up repr switches to exponent form ("e+"), where the integer digits
+    may be the shorter text, so those lists go item by item.
+    """
+    text = ",".join(map(float.__repr__, v))
+    if "e+" in text:
+        return "[" + ",".join(map(format_number, v)) + "]"
+    return "[" + (text + ",").replace(".0,", ",")[:-1] + "]"
 
 
 _NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from fltestbed.errors import ConfigError
+from fltestbed.values import loads
 from fltestbed.harness import (
     ENGINE_CENT,
     ENGINE_DECENT,
@@ -203,6 +204,19 @@ class TestCli:
         res = run_cli("launch", "--example", "2", "--base-port", str(base_port))
         assert res.returncode == 0
         assert "RESULT 0 [1.75]" in res.stdout
+
+    def test_launch_default_server_id_matches_verify(self, base_port):
+        # example 1's canonical server is node 2; a 2-node launch clamps it like verify
+        res = run_cli("launch", "--example", "1", "--nodes", "2", "--seed", "1",
+                      "--base-port", str(base_port))
+        assert res.returncode == 0, res.stderr
+        lines = sorted(ln.split(" ", 2) for ln in res.stdout.splitlines()
+                       if ln.startswith("RESULT"))
+        launched = [loads(text) for _, _, text in lines]
+        report = run_and_verify(1, MODE_INPROC, no_nodes=2, seed=1)
+        assert report.overall_match
+        assert [int(node_id) for _, node_id, _ in lines] == [0, 1]
+        assert launched == [v.distributed for v in report.per_node]
 
     def test_fuzz_cli_summary(self):
         res = run_cli("fuzz", "--engine", "cent", "--trials", "5", "--seed", "1")

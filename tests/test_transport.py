@@ -1,9 +1,17 @@
+import socket
+import sys
 import threading
 import time
 
 import pytest
 
-from fltestbed.errors import ParseError, ProtocolTimeout, TransportError, UsageError
+from fltestbed.errors import (
+    ParseError,
+    ProtocolTimeout,
+    SerializationError,
+    TransportError,
+    UsageError,
+)
 from fltestbed.transport import (
     Envelope,
     LoopbackHub,
@@ -198,16 +206,117 @@ def _arrivals(transport):
 
 class TestLoopbackMultiset:
     def test_sent_equals_delivered(self):
+        # per (src, dst): what the sender counted equals what the receiver counted
         hub = LoopbackHub(3)
         nodes = hub.transports()
         for k in range(3):
             nodes[0].send(Envelope(0, 1, Phase.DEC_P1, k, [float(k)]))
             nodes[1].send(Envelope(1, 2, Phase.DEC_P2, k, [float(k)]))
-        assert hub.sent == hub.delivered
-        assert sum(hub.sent.values()) == 6
+            nodes[2].broadcast([0, 1], Phase.DEC_P1, k, [float(k)])
+        for src in range(3):
+            for dst in range(3):
+                assert nodes[src].sent_to[dst] == nodes[dst].received_from[src], (src, dst)
+        assert sum(sum(t.sent_to.values()) for t in nodes) == 12
+        assert nodes[2].sent_to == {0: 3, 1: 3}
+
+
+class TestBroadcast:
+    def test_frames_match_encode_frame(self):
+        # peers 1 and 2 are raw sockets, so the test sees the exact wire bytes
+        base = alloc_base_port(3)
+        cfg = TransportConfig(base_port=base, no_nodes=3, connect_timeout=2.0)
+        listeners = []
+        for dst in (1, 2):
+            s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            s.bind(("127.0.0.1", base + dst))
+            s.listen(1)
+            listeners.append(s)
+        node = TcpTransport(cfg, 0)
+        payloads = [[2.0, -0.0, 1e16, 0.1], [[1.5], [2]], None, 123456789012345.0]
+        try:
+            for k, payload in enumerate(payloads):
+                node.broadcast([1, 2], Phase.DEC_P1, k, payload)
+            for dst, listener in zip((1, 2), listeners):
+                conn, _ = listener.accept()
+                with conn:
+                    want = b"".join(
+                        encode_frame(Envelope(0, dst, Phase.DEC_P1, k, p))
+                        for k, p in enumerate(payloads)
+                    )
+                    conn.settimeout(5.0)
+                    got = b""
+                    while len(got) < len(want):
+                        chunk = conn.recv(65536)
+                        assert chunk, "peer closed early"
+                        got += chunk
+                    assert got == want
+        finally:
+            node.close()
+            for s in listeners:
+                s.close()
+
+    def test_receivers_get_distinct_copies(self, kind):
+        nodes, close = _federation(kind, 3)
+        try:
+            payload = [[1.5, 2.5], [3.0]]
+            nodes[0].broadcast([1, 2], Phase.DEC_P1, 0, payload)
+            (a,) = nodes[1].recv_matching(Phase.DEC_P1, 0, 1)
+            (b,) = nodes[2].recv_matching(Phase.DEC_P1, 0, 1)
+            assert a.payload == b.payload == payload
+            assert a.payload is not b.payload
+            assert a.payload[0] is not b.payload[0]
+            assert a.payload is not payload
+            assert nodes[0].sent_to == {1: 1, 2: 1}
+        finally:
+            close()
+
+    def test_invalid_destination_sends_nothing(self, kind):
+        nodes, close = _federation(kind, 3)
+        try:
+            for dsts in ([1, 0], [1, 3], [1, -1], [1, True]):
+                with pytest.raises(UsageError):
+                    nodes[0].broadcast(dsts, Phase.DEC_P1, 0, [1.0])
+            with pytest.raises(UsageError):
+                nodes[0].broadcast([1], "DEC_P1", 0, [1.0])
+            with pytest.raises(UsageError):
+                nodes[0].broadcast([1], Phase.DEC_P1, -1, [1.0])
+            with pytest.raises(SerializationError):
+                nodes[0].broadcast([1, 2], Phase.DEC_P1, 0, [1.0, float("nan")])
+            assert sum(nodes[0].sent_to.values()) == 0
+            nodes[0].close()
+            with pytest.raises(UsageError):
+                nodes[0].broadcast([1], Phase.DEC_P1, 0, [1.0])
+        finally:
+            close()
 
 
 class TestTcpSpecifics:
+    def test_concurrent_readers_count_every_frame(self):
+        # node 0 has one reader thread per peer; all of them update its counts
+        n, per_peer = 5, 200
+        nodes, close = _federation("tcp", n, recv_timeout=20.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def blast(src):
+                for k in range(per_peer):
+                    nodes[src].send(Envelope(src, 0, Phase.CLI_DATA, k, [float(k)]))
+
+            senders = [threading.Thread(target=blast, args=(i,)) for i in range(1, n)]
+            for t in senders:
+                t.start()
+            for t in senders:
+                t.join(20.0)
+                assert not t.is_alive()
+            for k in range(per_peer):
+                nodes[0].recv_matching(Phase.CLI_DATA, k, n - 1)
+            assert nodes[0].received_from == {src: per_peer for src in range(1, n)}
+            assert len(nodes[0]._buffer.arrivals) == (n - 1) * per_peer
+        finally:
+            sys.setswitchinterval(interval)
+            close()
+
     def test_port_scheme_additive(self):
         base = alloc_base_port(3)
         cfg = TransportConfig(base_port=base, no_nodes=3)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fltestbed.errors import ParseError, SerializationError, UsageError
 from fltestbed.values import approx_eq, dumps, format_number, loads, validate_value
@@ -150,3 +150,53 @@ def test_format_number_round_trips(x):
 def test_validate_value_accepts_ints_as_doubles():
     validate_value([1, 2, 3])
     validate_value(5)
+
+
+def _generic_write(v):
+    """Canonical text item by item, the way every non-flat payload is written."""
+    if isinstance(v, list):
+        return "[" + ",".join(_generic_write(x) for x in v) + "]"
+    return format_number(v)
+
+
+_EDGE_FLOATS = [2.0, -0.0, 1e16, 123456789012345.0, 5e-324, 12345678901234568.0, -1e-5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(finite, max_size=40))
+@example(_EDGE_FLOATS)
+@example([])
+@example([0.0])
+@example([1e308, 1e308])
+def test_flat_float_fast_path_matches_generic_writer(v):
+    assert dumps(v) == _generic_write(v)
+    assert dumps([v]) == "[" + _generic_write(v) + "]"
+    validate_value(v)
+
+
+def test_fast_path_edge_values():
+    assert dumps(_EDGE_FLOATS) == (
+        "[2,-0,1e+16,123456789012345,5e-324,12345678901234568,-1e-05]"
+    )
+
+
+class TestFastPathRejections:
+    # each bad item sits among floats, so the flat-float check sees it first
+    BAD = [float("inf"), float("-inf"), float("nan"), True, None, 10**400, "1"]
+
+    def test_bad_items_rejected_like_the_generic_path(self):
+        for bad in self.BAD:
+            for v in ([1.0, bad], [bad, 2.0], [[1.0], [1.0, bad]]):
+                with pytest.raises(SerializationError):
+                    validate_value(v)
+                with pytest.raises(SerializationError):
+                    dumps(v)
+
+    def test_overflowing_sum_of_finite_items_is_valid(self):
+        v = [1.7e308, 1.7e308, -1.0]
+        validate_value(v)
+        assert loads(dumps(v)) == v
+
+    def test_non_finite_hidden_by_cancellation_rejected(self):
+        with pytest.raises(SerializationError):
+            validate_value([float("inf"), 1.0, float("-inf")])
