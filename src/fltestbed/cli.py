@@ -127,16 +127,10 @@ def cmd_node(args) -> int:
 def cmd_launch(args) -> int:
     spec = get_example(args.example)
     fl_srv_id = _fl_srv_id(args, spec, args.nodes)
-    program = [sys.executable, "-m", "fltestbed", "node",
-               "--example", str(args.example), "--iters", str(args.iters)]
-    if args.seed is not None:
-        program += ["--seed", str(args.seed)]
-    if args.recv_timeout is not None:
-        program += ["--recv-timeout", str(args.recv_timeout)]
-    if args.connect_timeout is not None:
-        program += ["--connect-timeout", str(args.connect_timeout)]
-    if args.fault_node is not None:
-        program += ["--fault-node", str(args.fault_node), "--after-phase", str(args.after_phase)]
+    program = harness.node_program(
+        args.example, args.iters, args.seed, args.recv_timeout, args.connect_timeout,
+        args.fault_node, args.after_phase,
+    )
     result = launch_all(
         LaunchSpec(
             program=tuple(program),

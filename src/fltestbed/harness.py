@@ -187,7 +187,7 @@ def _oracle_results(
     return sim_decentralized(ldata_arr, pdata_arr, spec.callbacks, no_iters)
 
 
-def _node_program(
+def node_program(
     example_id: int,
     no_iters: int,
     seed: int | None,
@@ -196,6 +196,7 @@ def _node_program(
     kill_node: int | None,
     after_phase: str | None,
 ) -> list[str]:
+    """Fixed argv of a node process; the launcher appends each node's identity flags."""
     argv = [sys.executable, "-m", "fltestbed", "node", "--example", str(example_id),
             "--iters", str(no_iters)]
     if seed is not None:
@@ -311,7 +312,7 @@ def _distributed_proc(
     after_phase: str | None,
     per_node_timeout: float,
 ) -> list[tuple[Value, str | None]]:
-    program = _node_program(
+    program = node_program(
         spec.example_id, no_iters, seed, recv_timeout, connect_timeout, kill_node, after_phase
     )
     launch = launch_all(

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import enum
 import json
+import selectors
 import socket
 import struct
 import threading
 import time
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .errors import ParseError, ProtocolTimeout, SerializationError, TransportError, UsageError
@@ -79,6 +80,12 @@ class TransportConfig:
             raise UsageError("timeouts must be positive")
 
 
+_LENGTH = struct.Struct("!I")
+# Bytes read per ready socket and select round. Larger reads cost more than
+# they save: recv allocates the full chunk on every call.
+_RECV_CHUNK = 64 * 1024
+
+
 def encode_frame(env: Envelope) -> bytes:
     """Full wire frame (length prefix + body) for one envelope."""
     return _frame(env.src, env.dst, env.phase, env.iter, dumps(env.payload).encode("ascii"))
@@ -89,7 +96,7 @@ def _frame(src: int, dst: int, phase: Phase, iteration: int, payload: bytes) -> 
     head = b'{"src":%d,"dst":%d,"phase":"%s","iter":%d,"payload":' % (
         src, dst, phase.value.encode("ascii"), iteration
     )
-    return b"".join((struct.pack("!I", len(head) + len(payload) + 1), head, payload, b"}"))
+    return b"".join((_LENGTH.pack(len(head) + len(payload) + 1), head, payload, b"}"))
 
 
 def decode_body(body: bytes) -> Envelope:
@@ -121,17 +128,25 @@ def decode_frame(frame: bytes) -> Envelope:
     """Parse a complete frame, checking the length prefix."""
     if len(frame) < 4:
         raise ParseError("frame shorter than its 4-byte length prefix", 0)
-    (length,) = struct.unpack("!I", frame[:4])
+    (length,) = _LENGTH.unpack_from(frame)
     if len(frame) - 4 != length:
         raise ParseError(f"length prefix says {length} body bytes, frame has {len(frame) - 4}", 0)
     return decode_body(frame[4:])
 
 
 class _MessageBuffer:
-    """Thread-safe store of received envelopes keyed by (phase, iteration)."""
+    """Store of received envelopes keyed by (phase, iteration).
 
-    def __init__(self):
+    take() blocks through `wait(seconds)`: by default the condition
+    variable that put() notifies, which suits senders on other threads;
+    TcpTransport passes its select round, which reads the node's sockets on
+    the waiting thread. The lock is reentrant, so a wait that calls put()
+    from inside take() is safe.
+    """
+
+    def __init__(self, wait: Callable[[float], object] | None = None):
         self._cond = threading.Condition()
+        self._wait = self._cond.wait if wait is None else wait
         self._buckets: dict[tuple[Phase, int], list[Envelope]] = defaultdict(list)
         self._error: Exception | None = None
         self.arrivals: list[tuple[int, Phase, int]] = []  # (src, phase, iter) in arrival order
@@ -183,20 +198,7 @@ class _MessageBuffer:
                         iteration=iteration,
                         missing=missing,
                     )
-                self._cond.wait(remaining)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly n bytes; None on clean EOF at a frame boundary."""
-    chunks = []
-    got = 0
-    while got < n:
-        data = sock.recv(n - got)
-        if not data:
-            return None
-        chunks.append(data)
-        got += len(data)
-    return b"".join(chunks)
+                self._wait(remaining)
 
 
 class _Transport:
@@ -264,17 +266,23 @@ class _Transport:
 class TcpTransport(_Transport):
     """Wire transport for one node; owns the listening socket.
 
-    Internal reader threads only feed the buffer.
+    It starts no threads. One selector holds the non-blocking listener and
+    every accepted connection, and the thread that owns the handle runs it:
+    recv_matching reads frames while it waits, and a send reads them while
+    the peer's socket buffer is full, so two nodes that send each other
+    large frames cannot deadlock. Between calls nobody reads; inbound bytes
+    wait in the kernel. Outbound connections are made on the first send to
+    a peer, retrying with exponential backoff from 1 ms up to
+    retry_interval until connect_timeout.
     """
 
     def __init__(self, cfg: TransportConfig, node_id: int):
         if not (0 <= node_id < cfg.no_nodes):
             raise UsageError(f"node id {node_id} out of range for {cfg.no_nodes} nodes")
-        super().__init__(node_id, cfg.no_nodes, cfg.recv_timeout, _MessageBuffer())
+        super().__init__(node_id, cfg.no_nodes, cfg.recv_timeout, _MessageBuffer(self._pump))
         self.cfg = cfg
         self.port = cfg.base_port + node_id
         self._out: dict[int, socket.socket] = {}
-        self._conns: list[socket.socket] = []
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -283,47 +291,69 @@ class TcpTransport(_Transport):
         except OSError as e:
             listener.close()
             raise TransportError(f"node {node_id} cannot bind port {self.port}: {e}") from e
+        listener.setblocking(False)
         self._listener = listener
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"accept-{node_id}", daemon=True
-        )
-        self._accept_thread.start()
+        self._sel = selectors.DefaultSelector()
+        self._sel.register(listener, selectors.EVENT_READ)
 
-    def _accept_loop(self):
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            self._conns.append(conn)
-            threading.Thread(
-                target=self._read_loop, args=(conn,), name=f"read-{self.node_id}", daemon=True
-            ).start()
+    def _pump(self, timeout: float | None) -> None:
+        """One select round: accept connections and read every ready one.
 
-    def _read_loop(self, conn: socket.socket):
+        Each accepted connection carries a bytearray of not yet complete
+        frame bytes; an outbound socket is registered (without one) only
+        while a send waits for it to become writable.
+        """
+        for key, _ in self._sel.select(timeout):
+            if key.fileobj is self._listener:
+                try:
+                    conn, _ = self._listener.accept()
+                except OSError:
+                    continue
+                conn.setblocking(False)
+                self._sel.register(conn, selectors.EVENT_READ, bytearray())
+            elif key.data is not None:
+                self._read(key.fileobj, key.data)
+
+    def _read(self, conn: socket.socket, pending: bytearray) -> None:
         try:
-            while True:
-                header = _recv_exact(conn, 4)
-                if header is None:
-                    return  # peer closed cleanly
-                (length,) = struct.unpack("!I", header)
-                body = _recv_exact(conn, length)
-                if body is None:
-                    self._buffer.fail(TransportError("peer closed mid-frame"))
-                    return
-                self._buffer.put(decode_body(body))
+            data = conn.recv(_RECV_CHUNK)
+        except BlockingIOError:
+            return
         except OSError:
-            return  # our own close
-        except Exception as e:  # malformed frame: poison pending receives
-            self._buffer.fail(e)
+            data = b""  # a reset counts as the peer closing
+        if not data:
+            self._drop(conn)
+            if pending:
+                self._buffer.fail(TransportError("peer closed mid-frame"))
+            return  # at a frame boundary, a close is silent
+        pending += data
+        pos = 0
+        while len(pending) - pos >= 4:
+            end = pos + 4 + _LENGTH.unpack_from(pending, pos)[0]
+            if end > len(pending):
+                break
+            try:
+                env = decode_body(bytes(pending[pos + 4:end]))
+            except Exception as e:  # malformed frame: poison pending receives
+                self._drop(conn)
+                self._buffer.fail(e)
+                return
+            self._buffer.put(env)
+            pos = end
+        del pending[:pos]
+
+    def _drop(self, conn: socket.socket) -> None:
+        self._sel.unregister(conn)
+        conn.close()
 
     def _connect(self, dst: int) -> socket.socket:
         port = self.cfg.base_port + dst
         deadline = time.monotonic() + self.cfg.connect_timeout
+        delay = 0.001
         while True:
             try:
                 sock = socket.create_connection(("127.0.0.1", port), timeout=self.cfg.connect_timeout)
-                sock.settimeout(None)  # back to blocking mode for sendall
+                sock.setblocking(False)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._out[dst] = sock
                 return sock
@@ -333,14 +363,35 @@ class TcpTransport(_Transport):
                         f"node {dst} unreachable on port {port} after "
                         f"{self.cfg.connect_timeout}s: {e}"
                     ) from e
-                time.sleep(self.cfg.retry_interval)
+                time.sleep(delay)
+                delay = min(2 * delay, self.cfg.retry_interval)
+
+    def _send_all(self, sock: socket.socket, frame: bytes) -> None:
+        """Write the whole frame, reading inbound frames while the peer's buffer is full."""
+        view = memoryview(frame)
+        waiting = False
+        try:
+            while True:
+                try:
+                    view = view[sock.send(view):]
+                except BlockingIOError:
+                    pass
+                if not view:
+                    return
+                if not waiting:
+                    self._sel.register(sock, selectors.EVENT_WRITE)
+                    waiting = True
+                self._pump(None)
+        finally:
+            if waiting:
+                self._sel.unregister(sock)
 
     def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
         try:
             sock = self._out.get(dst)
             if sock is None:
                 sock = self._connect(dst)
-            sock.sendall(frame)
+            self._send_all(sock, frame)
         except (OSError, TransportError) as e:
             raise TransportError(
                 f"send to node {dst} failed ({phase.value} iteration {iteration}): {e}"
@@ -350,19 +401,9 @@ class TcpTransport(_Transport):
         if self._closed:
             return
         self._closed = True
-        # shutdown() wakes the thread blocked in accept(); without it the
-        # blocked syscall pins the socket open and the port stays bound
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        self._accept_thread.join(timeout=2.0)
-        for sock in list(self._out.values()) + list(self._conns):
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
+        inbound = [key.fileobj for key in self._sel.get_map().values()]
+        self._sel.close()
+        for sock in inbound + list(self._out.values()):
             try:
                 sock.close()
             except OSError:

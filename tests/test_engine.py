@@ -145,6 +145,39 @@ class TestDecentralized:
         assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
+class TestTcpThreadCount:
+    """Node threads do their own socket I/O: no thread per connection."""
+
+    def _sampling(self, callbacks, samples):
+        def server(pdata, msgs):
+            samples.append(threading.active_count())
+            return callbacks.server(pdata, msgs)
+
+        return CallbackPair(callbacks.client, server)
+
+    def test_centralized_64_nodes(self):
+        n, e2, samples = 64, get_example(2), []
+        ldata = [[float(i)] for i in range(n)]
+        results = unwrap(run_federation("tcp", n, 0, CENTRALIZED,
+                                        self._sampling(e2.callbacks, samples), ldata,
+                                        no_iters=2))
+        expected = sim_centralized(ldata, [None] * n, 0, e2.callbacks, 2)
+        assert all(approx_eq(a, b) for a, b in zip(results, expected))
+        assert len(samples) == 2
+        assert max(samples) <= n + 2, samples
+
+    def test_decentralized_16_nodes(self):
+        n, e3, samples = 16, get_example(3), []
+        ldata = [[float(i)] for i in range(n)]
+        results = unwrap(run_federation("tcp", n, 0, DECENTRALIZED,
+                                        self._sampling(e3.callbacks, samples), ldata,
+                                        no_iters=2))
+        expected = sim_decentralized(ldata, [None] * n, e3.callbacks, 2)
+        assert all(approx_eq(a, b) for a, b in zip(results, expected))
+        assert len(samples) == 2 * n
+        assert max(samples) <= n + 2, samples
+
+
 class TestCallbackObservations:
     def test_server_msgs_sorted_ascending(self):
         seen = []

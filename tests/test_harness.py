@@ -224,3 +224,31 @@ class TestCli:
         summary = json.loads(res.stdout)
         assert summary["passed"] == 5
         assert summary["failed"] == 0
+
+    def test_launch_and_verify_build_the_same_node_program(self, monkeypatch):
+        from fltestbed import cli, harness
+
+        class Captured(Exception):
+            pass
+
+        specs = []
+
+        def capture(spec):
+            specs.append(spec)
+            raise Captured
+
+        monkeypatch.setattr(cli, "launch_all", capture)
+        monkeypatch.setattr(harness, "launch_all", capture)
+        with pytest.raises(Captured):
+            cli.main(["launch", "--example", "3", "--nodes", "4", "--iters", "2",
+                      "--seed", "5", "--base-port", "7000", "--recv-timeout", "1.5",
+                      "--connect-timeout", "2.5", "--fault-node", "1", "--after-phase", "p1"])
+        with pytest.raises(Captured):
+            run_and_verify(3, MODE_PROC, no_nodes=4, no_iters=2, seed=5, base_port=7000,
+                           recv_timeout=1.5, connect_timeout=2.5, kill_node=1,
+                           after_phase="p1")
+        launched, verified = specs
+        assert launched.program == verified.program
+        assert "--fault-node" in launched.program and "--seed" in launched.program
+        assert (launched.no_nodes, launched.fl_srv_id, launched.base_port) == \
+            (verified.no_nodes, verified.fl_srv_id, verified.base_port)

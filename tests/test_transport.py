@@ -1,4 +1,6 @@
+import random
 import socket
+import struct
 import sys
 import threading
 import time
@@ -293,7 +295,8 @@ class TestBroadcast:
 
 class TestTcpSpecifics:
     def test_concurrent_readers_count_every_frame(self):
-        # node 0 has one reader thread per peer; all of them update its counts
+        # four peers send at once while node 0 reads nothing; once it waits,
+        # its select round must file every frame from every connection
         n, per_peer = 5, 200
         nodes, close = _federation("tcp", n, recv_timeout=20.0)
         interval = sys.getswitchinterval()
@@ -386,3 +389,85 @@ class TestTcpSpecifics:
             t0.close()
             if "t" in late:
                 late["t"].close()
+
+
+def _raw_peer(port: int, *frames: bytes) -> socket.socket:
+    """A client socket connected to `port` that has written `frames`."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5.0)
+    for frame in frames:
+        sock.sendall(frame)
+    return sock
+
+
+class TestTcpReceivePaths:
+    """Inbound paths of the select round: large frames, closes, bad bytes."""
+
+    def _node(self, no_nodes=2, recv_timeout=5.0):
+        cfg = TransportConfig(base_port=alloc_base_port(no_nodes), no_nodes=no_nodes,
+                              recv_timeout=recv_timeout, connect_timeout=2.0)
+        return TcpTransport(cfg, 0)
+
+    def test_crossing_large_frames_both_complete(self):
+        # each frame is larger than the socket buffers, so neither send can
+        # finish unless each node reads its inbound frame while it sends
+        nodes, close = _federation("tcp", 2, recv_timeout=60.0)
+        rng = random.Random(7)
+        payloads = [[rng.random() for _ in range(500_000)] for _ in range(2)]
+        got: dict = {}
+
+        def exchange(i):
+            try:
+                nodes[i].send(Envelope(i, 1 - i, Phase.DEC_P1, 0, payloads[i]))
+                (env,) = nodes[i].recv_matching(Phase.DEC_P1, 0, 1)
+                got[i] = env.payload
+            except Exception as e:
+                got[i] = e
+
+        threads = [threading.Thread(target=exchange, args=(i,), daemon=True) for i in (0, 1)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+                assert not t.is_alive(), "crossing sends deadlocked"
+            assert got[0] == payloads[1]
+            assert got[1] == payloads[0]
+        finally:
+            close()
+
+    def test_peer_closing_mid_frame_fails_receive(self):
+        node = self._node()
+        frame = encode_frame(Envelope(1, 0, Phase.CLI_DATA, 0, [1.5, 2.5]))
+        try:
+            _raw_peer(node.port, frame[:-3]).close()
+            with pytest.raises(TransportError) as exc:
+                node.recv_matching(Phase.CLI_DATA, 0, 1)
+            assert "peer closed mid-frame" in str(exc.value)
+        finally:
+            node.close()
+
+    def test_malformed_frame_fails_with_parse_error(self):
+        node = self._node()
+        body = b'{"src":1,"dst":0,"phase":"CLI_DATA","iter":0,"payload":[1.5,]}'
+        peer = _raw_peer(node.port, struct.pack("!I", len(body)) + body)
+        try:
+            with pytest.raises(TransportError) as exc:
+                node.recv_matching(Phase.CLI_DATA, 0, 1)
+            assert isinstance(exc.value.__cause__, ParseError)
+        finally:
+            peer.close()
+            node.close()
+
+    def test_clean_close_at_frame_boundary_is_silent(self):
+        node = self._node(recv_timeout=0.3)
+        frame = encode_frame(Envelope(1, 0, Phase.CLI_DATA, 0, [1.5]))
+        try:
+            _raw_peer(node.port, frame).close()
+            (env,) = node.recv_matching(Phase.CLI_DATA, 0, 1)
+            assert env.payload == [1.5]
+            with pytest.raises(ProtocolTimeout) as exc:
+                node.recv_matching(Phase.CLI_DATA, 1, 1)
+            assert exc.value.missing == (1,)
+            assert "missing nodes [1]" in str(exc.value)
+        finally:
+            node.close()
