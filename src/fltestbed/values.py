@@ -10,8 +10,8 @@ message, RESULT line, and report embeds payloads in exactly this form.
 
 from __future__ import annotations
 
+import json
 import math
-import re
 from typing import TypeAlias, Union
 
 from .errors import ParseError, SerializationError, UsageError
@@ -128,13 +128,20 @@ def _write_floats(v: list[float]) -> str:
     return "[" + (text + ",").replace(".0,", ",")[:-1] + "]"
 
 
-_NUMBER = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+# Every byte the canonical form can contain. Whitespace, strings, objects,
+# true/false, NaN and Infinity all need a byte outside this set.
+_PAYLOAD_BYTES = b"0123456789.-+eE,[]nul"
+# Over those bytes the JSON number grammar is the payload's; parse_int makes
+# every number a float, so "2" and "-0" read back as 2.0 and -0.0.
+_DECODER = json.JSONDecoder(parse_int=float)
 
 
 def loads(text: str | bytes) -> Value:
     """Parse canonical payload text; inverse of dumps on its outputs.
 
-    All numbers come back as floats. Errors carry the offending byte offset.
+    All numbers come back as floats. Errors carry the offending byte offset
+    where one byte is at fault. This is the only parser of the payload
+    grammar: RESULT lines and wire frames both use it.
     """
     if isinstance(text, str):
         try:
@@ -143,56 +150,24 @@ def loads(text: str | bytes) -> Value:
             raise ParseError("non-ASCII byte in payload text", e.start) from None
     else:
         data = bytes(text)
-    parser = _Parser(data)
-    value = parser.parse_value(top=True)
-    if parser.pos != len(data):
-        raise ParseError("trailing data after payload", parser.pos)
+    foreign = data.translate(None, _PAYLOAD_BYTES)
+    if foreign:
+        raise ParseError(f"unexpected byte {foreign[:1]!r} in payload", data.index(foreign[:1]))
+    try:
+        value = _DECODER.decode(data.decode("ascii"))
+        validate_value(value)
+    except json.JSONDecodeError as e:
+        raise ParseError(f"malformed payload: {e.msg}", e.pos) from None
+    except SerializationError:
+        # the parsed tree holds floats and lists, so the fault is a null
+        # inside a list or a number that overflowed to inf
+        null = data.find(b"null")
+        if null >= 0:
+            raise ParseError("null is only allowed as the whole payload", null) from None
+        raise ParseError("number out of double-precision range") from None
+    except RecursionError:
+        raise ParseError("payload is nested too deeply") from None
     return value
-
-
-class _Parser:
-    """Recursive-descent parser for the payload grammar: number | list | null."""
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def parse_value(self, top: bool) -> Value:
-        data, pos = self.data, self.pos
-        if pos >= len(data):
-            raise ParseError("unexpected end of input", pos)
-        c = data[pos : pos + 1]
-        if c == b"[":
-            return self._parse_list()
-        if data.startswith(b"null", pos):
-            if not top:
-                raise ParseError("null is only allowed as the whole payload", pos)
-            self.pos = pos + 4
-            return None
-        m = _NUMBER.match(data, pos)
-        if m is None:
-            raise ParseError("expected a number, '[' or 'null'", pos)
-        self.pos = m.end()
-        x = float(m.group())
-        if not math.isfinite(x):
-            raise ParseError("number out of double-precision range", pos)
-        return x
-
-    def _parse_list(self) -> list:
-        self.pos += 1  # past '['
-        items: list[Value] = []
-        if self.data[self.pos : self.pos + 1] == b"]":
-            self.pos += 1
-            return items
-        while True:
-            items.append(self.parse_value(top=False))
-            c = self.data[self.pos : self.pos + 1]
-            if c == b"]":
-                self.pos += 1
-                return items
-            if c != b",":
-                raise ParseError("expected ',' or ']' in sequence", self.pos)
-            self.pos += 1
 
 
 def approx_eq(

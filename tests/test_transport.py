@@ -1,3 +1,4 @@
+import math
 import random
 import socket
 import struct
@@ -6,6 +7,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from fltestbed.errors import (
     ParseError,
@@ -23,8 +25,10 @@ from fltestbed.transport import (
     decode_frame,
     encode_frame,
 )
+from fltestbed.values import dumps, loads
 
 from conftest import alloc_base_port
+from test_values import value_trees
 
 GOLDEN_FRAME = b'\x00\x00\x009{"src":0,"dst":2,"phase":"CLI_DATA","iter":0,"payload":0}'
 
@@ -64,6 +68,40 @@ class TestWireFormat:
         with pytest.raises(ParseError):
             decode_frame(len(body).to_bytes(4, "big") + body)
 
+    @pytest.mark.parametrize("body", [
+        b'{"src": 0,"dst":2,"phase":"CLI_DATA","iter":0,"payload":0}',
+        b'{"dst":2,"src":0,"phase":"CLI_DATA","iter":0,"payload":0}',
+        b'{"src":01,"dst":2,"phase":"CLI_DATA","iter":0,"payload":0}',
+        b'{"src":0,"dst":2,"phase":"CLI_DATA","iter":0,"payload":[1, 2]}',
+        b'{"src":0,"dst":2,"phase":"CLI_DATA","iter":0,"payload":true}',
+        b'{"src":0,"dst":2,"phase":"CLI_DATA","iter":0,"payload":0} ',
+        b'{"src":0,"dst":2,"phase":"CLI_DATA","iter":' + b"1" * 5000 + b',"payload":0}',
+    ], ids=["header-space", "key-order", "leading-zero", "payload-space", "payload-true",
+            "trailing-byte", "huge-iter"])
+    def test_decode_rejects_non_canonical_body(self, body):
+        with pytest.raises(ParseError):
+            decode_frame(len(body).to_bytes(4, "big") + body)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            loads("[" * 100_000 + "]" * 100_000)
+
+
+def _leaves(v):
+    if isinstance(v, list):
+        for item in v:
+            yield from _leaves(item)
+    else:
+        yield v
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_trees)
+def test_wire_hop_is_exact(payload):
+    got = decode_frame(encode_frame(Envelope(1, 0, Phase.DEC_P2, 2, payload))).payload
+    assert dumps(got) == dumps(payload)
+    assert all(type(x) is float for x in _leaves(got))
+
 
 class TestEnvelopeInvariants:
     def test_src_dst_must_differ(self):
@@ -76,9 +114,20 @@ class TestEnvelopeInvariants:
         with pytest.raises(UsageError):
             Envelope(src=0, dst=1, phase=Phase.SRV_DATA, iter=-1, payload=None)
 
-    def test_payload_validated(self):
-        with pytest.raises(Exception):
-            Envelope(src=0, dst=1, phase=Phase.SRV_DATA, iter=0, payload=[None])
+    def test_invalid_payload_rejected_at_send(self, kind):
+        # an Envelope does not check its payload; sending it does, before any frame leaves
+        nodes, close = _federation(kind, 2)
+        try:
+            for bad in ([None], [1.0, float("nan")]):
+                with pytest.raises(SerializationError):
+                    nodes[0].send(Envelope(0, 1, Phase.CLI_DATA, 0, bad))
+            assert sum(nodes[0].sent_to.values()) == 0
+            nodes[0].send(Envelope(0, 1, Phase.CLI_DATA, 0, [1.0]))
+            (env,) = nodes[1].recv_matching(Phase.CLI_DATA, 0, 1)
+            assert env.payload == [1.0]
+            assert _arrivals(nodes[1]) == [(0, Phase.CLI_DATA, 0)]
+        finally:
+            close()
 
 
 def _federation(kind: str, no_nodes: int, recv_timeout: float = 5.0):
@@ -170,6 +219,17 @@ class TestTransportContract:
         try:
             with pytest.raises(UsageError):
                 nodes[0].recv_matching(Phase.CLI_DATA, 0, 0)
+        finally:
+            close()
+
+    def test_signed_zero_and_float_type_survive_a_hop(self, kind):
+        nodes, close = _federation(kind, 2)
+        try:
+            nodes[0].send(Envelope(0, 1, Phase.DEC_P2, 0, [-0.0, 2.0, [3.0]]))
+            (env,) = nodes[1].recv_matching(Phase.DEC_P2, 0, 1)
+            assert env.payload == [0.0, 2.0, [3.0]]
+            assert math.copysign(1, env.payload[0]) < 0
+            assert all(type(x) is float for x in _leaves(env.payload))
         finally:
             close()
 
@@ -456,6 +516,28 @@ class TestTcpReceivePaths:
             assert isinstance(exc.value.__cause__, ParseError)
         finally:
             peer.close()
+            node.close()
+
+    def test_deeply_nested_frame_fails_with_parse_error(self):
+        node = self._node()
+        body = (b'{"src":1,"dst":0,"phase":"CLI_DATA","iter":0,"payload":'
+                + b"[" * 100_000 + b"]" * 100_000 + b"}")
+        peers: list = []
+        # the frame may exceed the socket buffers, so it is written while the node reads
+        writer = threading.Thread(
+            target=lambda: peers.append(_raw_peer(node.port, struct.pack("!I", len(body)) + body))
+        )
+        writer.start()
+        try:
+            with pytest.raises(TransportError) as exc:
+                node.recv_matching(Phase.CLI_DATA, 0, 1)
+            assert isinstance(exc.value.__cause__, ParseError)
+            assert "nested too deeply" in str(exc.value.__cause__)
+        finally:
+            writer.join(5.0)
+            assert not writer.is_alive()
+            for peer in peers:
+                peer.close()
             node.close()
 
     def test_clean_close_at_frame_boundary_is_silent(self):
