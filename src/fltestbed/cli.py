@@ -108,16 +108,13 @@ def cmd_node(args) -> int:
         node_id=args.node_id,
         fl_srv_id=fl_srv_id,
         base_port=args.base_port,
-        no_iters=args.iters,
         **kwargs,
     )
     fault = args.after_phase if args.fault_node == args.node_id else None
     inst = FlInstance(cfg, fault_after_phase=fault)
     try:
-        if spec.engine == CENTRALIZED:
-            result = inst.fl_centralized(spec.callbacks, ldata_arr[args.node_id])
-        else:
-            result = inst.fl_decentralized(spec.callbacks, ldata_arr[args.node_id])
+        run = inst.fl_centralized if spec.engine == CENTRALIZED else inst.fl_decentralized
+        result = run(spec.callbacks, ldata_arr[args.node_id], no_iters=args.iters)
     finally:
         inst.shutdown()
     print(f"RESULT {args.node_id} {dumps(result)}")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CallbackError, ConfigError, FaultInjected, UsageError
-from .transport import Envelope, Phase, TcpTransport, TransportConfig
+from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT, Envelope, Phase, TcpTransport, TransportConfig
 from .values import Value
 
 # Points at which fault injection may crash a node, named after the send
@@ -44,9 +44,8 @@ class FlConfig:
     node_id: int
     fl_srv_id: int = 0
     base_port: int = 6000
-    no_iters: int = 1
-    connect_timeout: float = 5.0
-    recv_timeout: float = 30.0
+    connect_timeout: float = CONNECT_TIMEOUT
+    recv_timeout: float = RECV_TIMEOUT
 
     def __post_init__(self):
         if not isinstance(self.no_nodes, int) or self.no_nodes < 2:
@@ -55,8 +54,6 @@ class FlConfig:
             raise ConfigError(f"node_id {self.node_id} out of range [0, {self.no_nodes})")
         if not (0 <= self.fl_srv_id < self.no_nodes):
             raise ConfigError(f"fl_srv_id {self.fl_srv_id} out of range [0, {self.no_nodes})")
-        if self.no_iters < 1:
-            raise ConfigError(f"no_iters must be >= 1, got {self.no_iters}")
         try:
             self.transport_config()
         except UsageError as e:
@@ -107,25 +104,24 @@ class FlInstance:
         callbacks: CallbackPair,
         ldata: Value,
         pdata: Value = None,
-        no_iters: int | None = None,
+        no_iters: int = 1,
     ) -> Value:
         """Run the centralized engine; must be called on every node."""
-        iters = self.cfg.no_iters if no_iters is None else no_iters
-        if iters < 1:
-            raise ConfigError(f"no_iters must be >= 1, got {iters}")
+        if no_iters < 1:
+            raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
         cfg = self.cfg
-        peers = [i for i in range(cfg.no_nodes) if i != cfg.node_id]
+        peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
         with self._begin_run():
             if cfg.node_id == cfg.fl_srv_id:
-                for k in range(iters):
+                for k in range(no_iters):
                     self._transport.broadcast(peers, Phase.SRV_DATA, k, ldata)
                     self._fault_point("srv")
-                    replies = self._transport.recv_matching(Phase.CLI_DATA, k, cfg.no_nodes - 1)
+                    replies = self._transport.recv_matching(Phase.CLI_DATA, k, peers)
                     msgs = [env.payload for env in replies]
                     ldata = self._call_server(callbacks, pdata, msgs, k)
             else:
-                for k in range(iters):
-                    env = self._transport.recv_matching(Phase.SRV_DATA, k, 1)[0]
+                for k in range(no_iters):
+                    (env,) = self._transport.recv_matching(Phase.SRV_DATA, k, (cfg.fl_srv_id,))
                     ldata = self._call_client(callbacks, ldata, pdata, env.payload, k)
                     self._transport.send(
                         Envelope(cfg.node_id, cfg.fl_srv_id, Phase.CLI_DATA, k, ldata)
@@ -138,19 +134,18 @@ class FlInstance:
         callbacks: CallbackPair,
         ldata: Value,
         pdata: Value = None,
-        no_iters: int | None = None,
+        no_iters: int = 1,
     ) -> Value:
         """Run the decentralized engine; must be called on every node."""
-        iters = self.cfg.no_iters if no_iters is None else no_iters
-        if iters < 1:
-            raise ConfigError(f"no_iters must be >= 1, got {iters}")
+        if no_iters < 1:
+            raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
         cfg = self.cfg
-        peers = [i for i in range(cfg.no_nodes) if i != cfg.node_id]
+        peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
         with self._begin_run():
-            for k in range(iters):
+            for k in range(no_iters):
                 start = ldata  # phase II replies are computed from this snapshot
                 self._transport.broadcast(peers, Phase.DEC_P1, k, start)
-                broadcasts = self._transport.recv_matching(Phase.DEC_P1, k, cfg.no_nodes - 1)
+                broadcasts = self._transport.recv_matching(Phase.DEC_P1, k, peers)
                 # "after p1" fires once phase I is complete at this node (its
                 # broadcasts sent and every peer's collected), so survivors of
                 # an injected crash always fail on the DEC_P2 exchange
@@ -159,7 +154,7 @@ class FlInstance:
                     reply = self._call_client(callbacks, start, pdata, env.payload, k)
                     self._transport.send(Envelope(cfg.node_id, env.src, Phase.DEC_P2, k, reply))
                 self._fault_point("p2")
-                replies = self._transport.recv_matching(Phase.DEC_P2, k, cfg.no_nodes - 1)
+                replies = self._transport.recv_matching(Phase.DEC_P2, k, peers)
                 ldata = self._call_server(callbacks, pdata, [env.payload for env in replies], k)
             return ldata
 

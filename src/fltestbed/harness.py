@@ -36,7 +36,7 @@ from .examples import (
     sim_decentralized,
 )
 from .launcher import LaunchSpec, launch_all
-from .transport import LoopbackHub
+from .transport import RECV_TIMEOUT, LoopbackHub
 from .values import Value, approx_eq, dumps, format_number, loads
 
 MODE_INPROC = "inproc"
@@ -117,7 +117,7 @@ def run_federation_inproc(
     ldata_arr: list[Value],
     pdata_arr: list[Value] | None = None,
     no_iters: int = 1,
-    recv_timeout: float = 30.0,
+    recv_timeout: float = RECV_TIMEOUT,
     fault: tuple[int, str] | None = None,
 ) -> list[Value | Exception]:
     """Drive one engine per node on threads over a loopback hub.
@@ -142,18 +142,11 @@ def run_federation_inproc(
                 no_nodes=no_nodes,
                 node_id=node_id,
                 fl_srv_id=fl_srv_id,
-                no_iters=no_iters,
                 recv_timeout=recv_timeout,
             )
             inst = FlInstance(cfg, transport=hub.transport(node_id), fault_after_phase=fault_point)
-            if engine == CENTRALIZED:
-                results[node_id] = inst.fl_centralized(
-                    pairs[node_id], ldata_arr[node_id], pdata_arr[node_id]
-                )
-            else:
-                results[node_id] = inst.fl_decentralized(
-                    pairs[node_id], ldata_arr[node_id], pdata_arr[node_id]
-                )
+            run = inst.fl_centralized if engine == CENTRALIZED else inst.fl_decentralized
+            results[node_id] = run(pairs[node_id], ldata_arr[node_id], pdata_arr[node_id], no_iters)
             inst.shutdown()
         except Exception as e:
             results[node_id] = e
@@ -287,7 +280,7 @@ def _distributed_inproc(
         callbacks=spec.callbacks,
         ldata_arr=ldata_arr,
         no_iters=no_iters,
-        recv_timeout=recv_timeout if recv_timeout is not None else 30.0,
+        recv_timeout=recv_timeout if recv_timeout is not None else RECV_TIMEOUT,
         fault=(kill_node, after_phase) if kill_node is not None else None,
     )
     out = []

@@ -5,9 +5,10 @@ big-endian length followed by exactly that many body bytes; the body is a
 text object with keys src, dst, phase, iter, payload in that fixed order and
 no whitespace, payload in canonical value form. The decoder accepts only
 that header and parses the payload with values.loads, the parser of RESULT
-lines, so a hop returns exactly the payload that was sent. Messages that do
-not match the (phase, iteration) a node is currently waiting for stay
-buffered, never dropped.
+lines, so a hop returns exactly the payload that was sent. A receive names
+its expected senders and takes exactly one envelope from each; messages
+that do not match the (phase, iteration) a node is currently waiting for
+stay buffered, never dropped.
 
 A broadcast encodes its payload once and puts a per-peer header in front
 of the same bytes. The in-process loopback transport shares the same surface
@@ -68,12 +69,18 @@ class Envelope:
         _check_route(self.src, self.dst, self.phase, self.iter)
 
 
+# Default seconds to wait for a peer to accept a connection, and for the
+# messages of one receive to arrive.
+CONNECT_TIMEOUT = 5.0
+RECV_TIMEOUT = 30.0
+
+
 @dataclass(frozen=True)
 class TransportConfig:
     base_port: int
     no_nodes: int
-    connect_timeout: float = 5.0
-    recv_timeout: float = 30.0
+    connect_timeout: float = CONNECT_TIMEOUT
+    recv_timeout: float = RECV_TIMEOUT
 
     def __post_init__(self):
         if self.no_nodes < 2:
@@ -140,7 +147,7 @@ def decode_frame(frame: bytes) -> Envelope:
 
 
 class _MessageBuffer:
-    """Store of received envelopes keyed by (phase, iteration).
+    """Store of received envelopes keyed by (phase, iteration), then by sender.
 
     take() blocks through `wait(seconds)`: by default the condition
     variable that put() notifies, which suits senders on other threads;
@@ -152,15 +159,19 @@ class _MessageBuffer:
     def __init__(self, wait: Callable[[float], object] | None = None):
         self._cond = threading.Condition()
         self._wait = self._cond.wait if wait is None else wait
-        self._buckets: dict[tuple[Phase, int], list[Envelope]] = defaultdict(list)
+        self._buckets: dict[tuple[Phase, int], dict[int, Envelope]] = defaultdict(dict)
         self._error: Exception | None = None
-        self.arrivals: list[tuple[int, Phase, int]] = []  # (src, phase, iter) in arrival order
         self.received_from: Counter[int] = Counter()
 
     def put(self, env: Envelope) -> None:
         with self._cond:
-            self._buckets[(env.phase, env.iter)].append(env)
-            self.arrivals.append((env.src, env.phase, env.iter))
+            bucket = self._buckets[(env.phase, env.iter)]
+            if env.src in bucket:  # poisons pending and later receives, as a bad frame does
+                self._error = TransportError(
+                    f"duplicate {env.phase.value} envelope from node {env.src} "
+                    f"at iteration {env.iter}"
+                )
+            bucket[env.src] = env
             self.received_from[env.src] += 1
             self._cond.notify_all()
 
@@ -170,35 +181,35 @@ class _MessageBuffer:
             self._cond.notify_all()
 
     def take(
-        self,
-        phase: Phase,
-        iteration: int,
-        expected_count: int,
-        timeout: float,
-        *,
-        node_id: int,
-        no_nodes: int,
+        self, phase: Phase, iteration: int, senders: tuple[int, ...], timeout: float
     ) -> list[Envelope]:
-        if expected_count < 1:
-            raise UsageError(f"expected_count must be >= 1, got {expected_count}")
+        """One envelope from each of `senders`, in that order."""
+        if not senders:
+            raise UsageError("a receive must name at least one sender")
         deadline = time.monotonic() + timeout
         key = (phase, iteration)
         with self._cond:
             while True:
                 if self._error is not None:
                     raise TransportError(f"receive failed: {self._error}") from self._error
-                bucket = self._buckets.get(key, [])
-                if len(bucket) >= expected_count:
+                bucket = self._buckets.get(key, {})
+                if len(bucket) >= len(senders):
+                    stray = bucket.keys() - senders
+                    if stray:
+                        raise TransportError(
+                            f"unexpected {phase.value} envelope from node {min(stray)} "
+                            f"at iteration {iteration}, expected nodes {list(senders)}"
+                        )
                     del self._buckets[key]
-                    return sorted(bucket, key=lambda e: e.src)
+                    return [bucket[src] for src in senders]
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    arrived = sorted(e.src for e in bucket)
-                    missing = [i for i in range(no_nodes) if i != node_id and i not in set(arrived)]
+                    missing = [src for src in senders if src not in bucket]
                     raise ProtocolTimeout(
-                        f"timeout after {timeout}s waiting for {expected_count} "
+                        f"timeout after {timeout}s waiting for {len(senders)} "
                         f"{phase.value} envelope(s) at iteration {iteration}: "
-                        f"received {len(bucket)} from nodes {arrived}, missing nodes {missing}",
+                        f"received {len(bucket)} from nodes {list(bucket)}, "
+                        f"missing nodes {missing}",
                         phase=phase,
                         iteration=iteration,
                         missing=missing,
@@ -255,17 +266,17 @@ class _Transport:
     def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
         raise NotImplementedError
 
-    def recv_matching(self, phase: Phase, iteration: int, expected_count: int) -> list[Envelope]:
+    def recv_matching(
+        self, phase: Phase, iteration: int, senders: tuple[int, ...]
+    ) -> list[Envelope]:
+        """One envelope from each expected sender, in the order given.
+
+        A second envelope from one sender for the same (phase, iteration),
+        or one from a node outside `senders`, fails the receive.
+        """
         if self._closed:
             raise UsageError("transport is closed")
-        return self._buffer.take(
-            phase,
-            iteration,
-            expected_count,
-            self.recv_timeout,
-            node_id=self.node_id,
-            no_nodes=self.no_nodes,
-        )
+        return self._buffer.take(phase, iteration, senders, self.recv_timeout)
 
 
 class TcpTransport(_Transport):
@@ -418,7 +429,7 @@ class TcpTransport(_Transport):
 class LoopbackHub:
     """In-process rendezvous for a whole federation; one buffer per node."""
 
-    def __init__(self, no_nodes: int, recv_timeout: float = 30.0):
+    def __init__(self, no_nodes: int, recv_timeout: float = RECV_TIMEOUT):
         if no_nodes < 2:
             raise UsageError(f"a federation needs at least 2 nodes, got {no_nodes}")
         self.no_nodes = no_nodes

@@ -5,6 +5,10 @@ import socket
 import pytest
 
 _next_slot = itertools.count()
+# Ports handed out stay below Linux's default ephemeral range (32768-60999):
+# the outbound sockets of a federation take ephemeral ports, and one that
+# lands on a port a later node must bind makes that node fail to start.
+_PORT_START, _PORT_END = 20000, 32768
 
 
 def _range_free(base: int, count: int) -> bool:
@@ -29,10 +33,11 @@ def alloc_base_port(count: int = 16) -> int:
     Each call hands out a fresh slot so parallel federations in one test
     session never collide; the pid offset keeps repeated sessions apart.
     """
-    start = 21000 + (os.getpid() % 400) * 64
+    span = _PORT_END - _PORT_START - count
+    start = (os.getpid() % 400) * 64
     for _ in range(2000):
-        base = 20000 + (start - 20000 + next(_next_slot) * 16) % 40000
-        if base + count <= 65535 and _range_free(base, count):
+        base = _PORT_START + (start + next(_next_slot) * 16) % span
+        if _range_free(base, count):
             return base
     raise RuntimeError("no free port range found")
 

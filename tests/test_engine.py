@@ -36,14 +36,13 @@ def run_federation(kind, no_nodes, fl_srv_id, engine, callbacks, ldata_arr,
     def worker(i):
         try:
             cfg = FlConfig(no_nodes=no_nodes, node_id=i, fl_srv_id=fl_srv_id,
-                           base_port=base_port, no_iters=no_iters,
-                           recv_timeout=recv_timeout, connect_timeout=2.0)
+                           base_port=base_port, recv_timeout=recv_timeout, connect_timeout=2.0)
             inst = FlInstance(cfg)
             try:
                 if engine == CENTRALIZED:
-                    results[i] = inst.fl_centralized(pairs[i], ldata_arr[i], pdata_arr[i])
+                    results[i] = inst.fl_centralized(pairs[i], ldata_arr[i], pdata_arr[i], no_iters)
                 else:
-                    results[i] = inst.fl_decentralized(pairs[i], ldata_arr[i], pdata_arr[i])
+                    results[i] = inst.fl_decentralized(pairs[i], ldata_arr[i], pdata_arr[i], no_iters)
             finally:
                 inst.shutdown()
         except Exception as e:

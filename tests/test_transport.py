@@ -123,9 +123,9 @@ class TestEnvelopeInvariants:
                     nodes[0].send(Envelope(0, 1, Phase.CLI_DATA, 0, bad))
             assert sum(nodes[0].sent_to.values()) == 0
             nodes[0].send(Envelope(0, 1, Phase.CLI_DATA, 0, [1.0]))
-            (env,) = nodes[1].recv_matching(Phase.CLI_DATA, 0, 1)
+            (env,) = nodes[1].recv_matching(Phase.CLI_DATA, 0, (0,))
             assert env.payload == [1.0]
-            assert _arrivals(nodes[1]) == [(0, Phase.CLI_DATA, 0)]
+            assert nodes[1].received_from == {0: 1}
         finally:
             close()
 
@@ -158,7 +158,7 @@ class TestTransportContract:
         nodes, close = _federation(kind, 3)
         try:
             nodes[0].send(Envelope(0, 2, Phase.CLI_DATA, 0, 0.0))
-            got = nodes[2].recv_matching(Phase.CLI_DATA, 0, 1)
+            got = nodes[2].recv_matching(Phase.CLI_DATA, 0, (0,))
             assert [e.src for e in got] == [0]
             assert got[0].payload == 0.0
         finally:
@@ -169,7 +169,7 @@ class TestTransportContract:
         try:
             nodes[1].send(Envelope(1, 2, Phase.CLI_DATA, 0, [1.0]))
             nodes[0].send(Envelope(0, 2, Phase.CLI_DATA, 0, [0.5]))
-            got = nodes[2].recv_matching(Phase.CLI_DATA, 0, 2)
+            got = nodes[2].recv_matching(Phase.CLI_DATA, 0, (0, 1))
             assert [e.src for e in got] == [0, 1]
             assert [e.payload for e in got] == [[0.5], [1.0]]
         finally:
@@ -181,10 +181,9 @@ class TestTransportContract:
             for k in range(5):
                 nodes[0].send(Envelope(0, 1, Phase.DEC_P1, k, float(k)))
             for k in range(5):
-                (env,) = nodes[1].recv_matching(Phase.DEC_P1, k, 1)
+                (env,) = nodes[1].recv_matching(Phase.DEC_P1, k, (0,))
                 assert env.payload == float(k)
-            arrivals = [a for a in _arrivals(nodes[1]) if a[0] == 0]
-            assert [it for (_, _, it) in arrivals] == list(range(5))
+            assert nodes[1].received_from == {0: 5}
         finally:
             close()
 
@@ -194,10 +193,10 @@ class TestTransportContract:
             nodes[0].send(Envelope(0, 2, Phase.DEC_P1, 0, 1.0))
             nodes[0].send(Envelope(0, 2, Phase.CLI_DATA, 0, 2.0))
             nodes[1].send(Envelope(1, 2, Phase.CLI_DATA, 0, 3.0))
-            got = nodes[2].recv_matching(Phase.CLI_DATA, 0, 2)
+            got = nodes[2].recv_matching(Phase.CLI_DATA, 0, (0, 1))
             assert [e.payload for e in got] == [2.0, 3.0]
             # the out-of-phase envelope was buffered, not dropped
-            (leftover,) = nodes[2].recv_matching(Phase.DEC_P1, 0, 1)
+            (leftover,) = nodes[2].recv_matching(Phase.DEC_P1, 0, (0,))
             assert leftover.payload == 1.0
         finally:
             close()
@@ -207,10 +206,44 @@ class TestTransportContract:
         try:
             nodes[0].send(Envelope(0, 2, Phase.CLI_DATA, 0, 0.0))
             with pytest.raises(ProtocolTimeout) as exc:
-                nodes[2].recv_matching(Phase.CLI_DATA, 0, 2)
+                nodes[2].recv_matching(Phase.CLI_DATA, 0, (0, 1))
             assert exc.value.missing == (1,)
             assert exc.value.phase is Phase.CLI_DATA
             assert "missing nodes [1]" in str(exc.value)
+        finally:
+            close()
+
+    def test_duplicate_sender_fails_the_receive(self, kind):
+        nodes, close = _federation(kind, 3)
+        try:
+            nodes[1].send(Envelope(1, 0, Phase.CLI_DATA, 0, [1.0]))
+            nodes[1].send(Envelope(1, 0, Phase.CLI_DATA, 0, [2.0]))
+            nodes[2].send(Envelope(2, 0, Phase.CLI_DATA, 0, [3.0]))
+            fault = "duplicate CLI_DATA envelope from node 1 at iteration 0"
+            with pytest.raises(TransportError, match=fault):
+                nodes[0].recv_matching(Phase.CLI_DATA, 0, (1, 2))
+            # the fault is sticky: later receives on this node fail the same way
+            with pytest.raises(TransportError, match=fault):
+                nodes[0].recv_matching(Phase.CLI_DATA, 1, (1, 2))
+        finally:
+            close()
+
+    def test_unexpected_sender_fails_the_receive(self, kind):
+        nodes, close = _federation(kind, 3)
+        try:
+            nodes[2].send(Envelope(2, 1, Phase.SRV_DATA, 0, [1.0]))
+            with pytest.raises(TransportError, match="SRV_DATA envelope from node 2 at iteration 0"):
+                nodes[1].recv_matching(Phase.SRV_DATA, 0, (0,))
+        finally:
+            close()
+
+    def test_timeout_reports_only_expected_senders(self, kind):
+        nodes, close = _federation(kind, 3, recv_timeout=0.3)
+        try:
+            with pytest.raises(ProtocolTimeout) as exc:
+                nodes[1].recv_matching(Phase.SRV_DATA, 0, (0,))
+            assert exc.value.missing == (0,)
+            assert "missing nodes [0]" in str(exc.value)
         finally:
             close()
 
@@ -218,7 +251,7 @@ class TestTransportContract:
         nodes, close = _federation(kind, 2)
         try:
             with pytest.raises(UsageError):
-                nodes[0].recv_matching(Phase.CLI_DATA, 0, 0)
+                nodes[0].recv_matching(Phase.CLI_DATA, 0, ())
         finally:
             close()
 
@@ -226,7 +259,7 @@ class TestTransportContract:
         nodes, close = _federation(kind, 2)
         try:
             nodes[0].send(Envelope(0, 1, Phase.DEC_P2, 0, [-0.0, 2.0, [3.0]]))
-            (env,) = nodes[1].recv_matching(Phase.DEC_P2, 0, 1)
+            (env,) = nodes[1].recv_matching(Phase.DEC_P2, 0, (0,))
             assert env.payload == [0.0, 2.0, [3.0]]
             assert math.copysign(1, env.payload[0]) < 0
             assert all(type(x) is float for x in _leaves(env.payload))
@@ -248,7 +281,7 @@ class TestTransportContract:
                 nodes[0].send(Envelope(0, 1, Phase.DEC_P1, k, float(k)))
                 nodes[2].send(Envelope(2, 1, Phase.DEC_P1, k, float(k)))
             for k in range(4):
-                nodes[1].recv_matching(Phase.DEC_P1, k, 2)
+                nodes[1].recv_matching(Phase.DEC_P1, k, (0, 2))
             deadline = time.monotonic() + 2.0
             while time.monotonic() < deadline:
                 if nodes[1].received_from[0] == 4 and nodes[1].received_from[2] == 4:
@@ -258,12 +291,6 @@ class TestTransportContract:
             assert nodes[2].sent_to[1] == 4 == nodes[1].received_from[2]
         finally:
             close()
-
-
-def _arrivals(transport):
-    if isinstance(transport, TcpTransport):
-        return list(transport._buffer.arrivals)
-    return list(transport.hub._buffers[transport.node_id].arrivals)
 
 
 class TestLoopbackMultiset:
@@ -323,8 +350,8 @@ class TestBroadcast:
         try:
             payload = [[1.5, 2.5], [3.0]]
             nodes[0].broadcast([1, 2], Phase.DEC_P1, 0, payload)
-            (a,) = nodes[1].recv_matching(Phase.DEC_P1, 0, 1)
-            (b,) = nodes[2].recv_matching(Phase.DEC_P1, 0, 1)
+            (a,) = nodes[1].recv_matching(Phase.DEC_P1, 0, (0,))
+            (b,) = nodes[2].recv_matching(Phase.DEC_P1, 0, (0,))
             assert a.payload == b.payload == payload
             assert a.payload is not b.payload
             assert a.payload[0] is not b.payload[0]
@@ -373,9 +400,8 @@ class TestTcpSpecifics:
                 t.join(20.0)
                 assert not t.is_alive()
             for k in range(per_peer):
-                nodes[0].recv_matching(Phase.CLI_DATA, k, n - 1)
+                nodes[0].recv_matching(Phase.CLI_DATA, k, tuple(range(1, n)))
             assert nodes[0].received_from == {src: per_peer for src in range(1, n)}
-            assert len(nodes[0]._buffer.arrivals) == (n - 1) * per_peer
         finally:
             sys.setswitchinterval(interval)
             close()
@@ -442,7 +468,7 @@ class TestTcpSpecifics:
         try:
             t0.send(Envelope(0, 1, Phase.SRV_DATA, 0, 42.0))
             thread.join()
-            (env,) = late["t"].recv_matching(Phase.SRV_DATA, 0, 1)
+            (env,) = late["t"].recv_matching(Phase.SRV_DATA, 0, (0,))
             assert env.payload == 42.0
         finally:
             thread.join()
@@ -478,7 +504,7 @@ class TestTcpReceivePaths:
         def exchange(i):
             try:
                 nodes[i].send(Envelope(i, 1 - i, Phase.DEC_P1, 0, payloads[i]))
-                (env,) = nodes[i].recv_matching(Phase.DEC_P1, 0, 1)
+                (env,) = nodes[i].recv_matching(Phase.DEC_P1, 0, (1 - i,))
                 got[i] = env.payload
             except Exception as e:
                 got[i] = e
@@ -501,7 +527,7 @@ class TestTcpReceivePaths:
         try:
             _raw_peer(node.port, frame[:-3]).close()
             with pytest.raises(TransportError) as exc:
-                node.recv_matching(Phase.CLI_DATA, 0, 1)
+                node.recv_matching(Phase.CLI_DATA, 0, (1,))
             assert "peer closed mid-frame" in str(exc.value)
         finally:
             node.close()
@@ -512,7 +538,7 @@ class TestTcpReceivePaths:
         peer = _raw_peer(node.port, struct.pack("!I", len(body)) + body)
         try:
             with pytest.raises(TransportError) as exc:
-                node.recv_matching(Phase.CLI_DATA, 0, 1)
+                node.recv_matching(Phase.CLI_DATA, 0, (1,))
             assert isinstance(exc.value.__cause__, ParseError)
         finally:
             peer.close()
@@ -530,7 +556,7 @@ class TestTcpReceivePaths:
         writer.start()
         try:
             with pytest.raises(TransportError) as exc:
-                node.recv_matching(Phase.CLI_DATA, 0, 1)
+                node.recv_matching(Phase.CLI_DATA, 0, (1,))
             assert isinstance(exc.value.__cause__, ParseError)
             assert "nested too deeply" in str(exc.value.__cause__)
         finally:
@@ -545,10 +571,10 @@ class TestTcpReceivePaths:
         frame = encode_frame(Envelope(1, 0, Phase.CLI_DATA, 0, [1.5]))
         try:
             _raw_peer(node.port, frame).close()
-            (env,) = node.recv_matching(Phase.CLI_DATA, 0, 1)
+            (env,) = node.recv_matching(Phase.CLI_DATA, 0, (1,))
             assert env.payload == [1.5]
             with pytest.raises(ProtocolTimeout) as exc:
-                node.recv_matching(Phase.CLI_DATA, 1, 1)
+                node.recv_matching(Phase.CLI_DATA, 1, (1,))
             assert exc.value.missing == (1,)
             assert "missing nodes [1]" in str(exc.value)
         finally:
