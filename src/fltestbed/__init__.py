@@ -6,7 +6,7 @@ engine move the data. Sequential simulators double as correctness oracles
 for every distributed run.
 """
 
-from .engine import CallbackPair, FlConfig, FlInstance
+from .engine import CallbackPair, FlConfig, FlInstance, run_node
 from .errors import (
     CallbackError,
     ConfigError,
@@ -70,6 +70,7 @@ __all__ = [
     "launch_all",
     "loads",
     "run_and_verify",
+    "run_node",
     "seq_example1",
     "seq_example2",
     "sim_centralized",

@@ -19,7 +19,8 @@ aggregates its collected replies with the server callback (phase III).
 fl_srv_id plays no role here.
 
 Both engines return the calling node's own local data after the final
-iteration; private data never leaves the node.
+iteration; private data never leaves the node. run_node is the whole life
+of one node: build its instance, run one engine, shut down.
 """
 
 from __future__ import annotations
@@ -36,6 +37,18 @@ from .values import Value
 # step just completed: centralized server broadcast / client reply,
 # decentralized phase I broadcast / phase II replies.
 FAULT_POINTS = ("srv", "cli", "p1", "p2")
+
+# Engine names, as the CLI and the fuzz summary print them.
+CENTRALIZED = "cent"
+DECENTRALIZED = "decent"
+
+
+def check_fault(no_nodes: int, node: int | None, point: str | None) -> None:
+    """A fault names both a node in range and a fault point, or neither."""
+    if (node is None) != (point is None):
+        raise ConfigError("the fault node and the fault point must be given together")
+    if node is not None and not (0 <= node < no_nodes):
+        raise ConfigError(f"fault node {node} out of range [0, {no_nodes})")
 
 
 @dataclass(frozen=True)
@@ -188,6 +201,27 @@ class FlInstance:
             raise FaultInjected(
                 f"fault injection: node {self.cfg.node_id} crashing after phase {tag}"
             )
+
+
+def run_node(
+    cfg: FlConfig,
+    engine: str,
+    callbacks: CallbackPair,
+    ldata: Value,
+    pdata: Value = None,
+    no_iters: int = 1,
+    transport=None,
+    fault_after_phase: str | None = None,
+) -> Value:
+    """One node's share of a federation on `engine`; the port is released on return."""
+    if engine not in (CENTRALIZED, DECENTRALIZED):
+        raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
+    inst = FlInstance(cfg, transport=transport, fault_after_phase=fault_after_phase)
+    try:
+        run = inst.fl_centralized if engine == CENTRALIZED else inst.fl_decentralized
+        return run(callbacks, ldata, pdata, no_iters)
+    finally:
+        inst.shutdown()
 
 
 class _RunGuard:

@@ -23,12 +23,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .engine import CallbackPair
+from .engine import CENTRALIZED, DECENTRALIZED, CallbackPair
 from .errors import ConfigError
 from .values import Value, is_number
-
-CENTRALIZED = "centralized"
-DECENTRALIZED = "decentralized"
 
 # Data layouts the built-in examples expect: bare numbers or one-element lists.
 SCALAR = "scalar"
@@ -88,6 +85,11 @@ class ExampleSpec:
     default_fl_srv_id: int
     engine: str  # CENTRALIZED or DECENTRALIZED
     data_layout: str  # SCALAR or SINGLETON
+
+
+def effective_fl_srv_id(spec: ExampleSpec, no_nodes: int) -> int:
+    """The example's canonical server index, clamped into range for small runs."""
+    return spec.default_fl_srv_id if spec.default_fl_srv_id < no_nodes else no_nodes - 1
 
 
 EXAMPLES: dict[int, ExampleSpec] = {

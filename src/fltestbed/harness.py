@@ -1,9 +1,11 @@
 """Verification harness: run an example, compare every node to the oracle.
 
 A run executes one example either in-process (engine threads over the
-loopback hub) or as real node processes under the launcher, then replays
-the matching sequential simulator on the same inputs and reports per-node
-agreement at the default tolerances. fuzz_verify hammers the engines with
+loopback hub, each node through engine.run_node) or as real node processes
+spawned by launch_federation, then replays the matching sequential
+simulator on the same inputs and reports per-node agreement at the default
+tolerances. launch_federation is also what `fltestbed launch` runs, so
+both spawn the same node argv. fuzz_verify hammers the engines with
 randomized federations against the simulators; a fixed seed reproduces the
 exact trial sequence.
 """
@@ -18,15 +20,13 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .engine import CallbackPair, FlConfig, FlInstance
+from .engine import CENTRALIZED, DECENTRALIZED, CallbackPair, FlConfig, check_fault, run_node
 from .errors import ConfigError, FlError
 from .examples import (
-    CENTRALIZED,
-    DECENTRALIZED,
     SCALAR,
     SINGLETON,
-    ExampleSpec,
     dataset_for,
+    effective_fl_srv_id,
     ex1_client,
     ex1_server,
     ex2_client,
@@ -35,15 +35,12 @@ from .examples import (
     sim_centralized,
     sim_decentralized,
 )
-from .launcher import LaunchSpec, launch_all
+from .launcher import LaunchResult, LaunchSpec, NodeOutcome, launch_all
 from .transport import RECV_TIMEOUT, LoopbackHub
 from .values import Value, approx_eq, dumps, format_number, loads
 
 MODE_INPROC = "inproc"
 MODE_PROC = "proc"
-
-ENGINE_CENT = "cent"
-ENGINE_DECENT = "decent"
 
 _RESULT_LINE = re.compile(r"^RESULT (\d+) (\S+)$", re.MULTILINE)
 
@@ -144,10 +141,10 @@ def run_federation_inproc(
                 fl_srv_id=fl_srv_id,
                 recv_timeout=recv_timeout,
             )
-            inst = FlInstance(cfg, transport=hub.transport(node_id), fault_after_phase=fault_point)
-            run = inst.fl_centralized if engine == CENTRALIZED else inst.fl_decentralized
-            results[node_id] = run(pairs[node_id], ldata_arr[node_id], pdata_arr[node_id], no_iters)
-            inst.shutdown()
+            results[node_id] = run_node(
+                cfg, engine, pairs[node_id], ldata_arr[node_id], pdata_arr[node_id], no_iters,
+                transport=hub.transport(node_id), fault_after_phase=fault_point,
+            )
         except Exception as e:
             results[node_id] = e
 
@@ -166,41 +163,62 @@ def run_federation_inproc(
     return results
 
 
-def effective_fl_srv_id(spec: ExampleSpec, no_nodes: int) -> int:
-    """The example's canonical server index, clamped into range for small runs."""
-    return spec.default_fl_srv_id if spec.default_fl_srv_id < no_nodes else no_nodes - 1
-
-
-def _oracle_results(
-    spec: ExampleSpec, ldata_arr: list[Value], fl_srv_id: int, no_iters: int
-) -> list[Value]:
-    pdata_arr: list[Value] = [None] * len(ldata_arr)
-    if spec.engine == CENTRALIZED:
-        return sim_centralized(ldata_arr, pdata_arr, fl_srv_id, spec.callbacks, no_iters)
-    return sim_decentralized(ldata_arr, pdata_arr, spec.callbacks, no_iters)
-
-
-def node_program(
-    example_id: int,
+def _simulate(
+    engine: str,
+    callbacks: CallbackPair,
+    ldata_arr: list[Value],
+    pdata_arr: list[Value],
+    fl_srv_id: int,
     no_iters: int,
-    seed: int | None,
-    recv_timeout: float | None,
-    connect_timeout: float | None,
-    kill_node: int | None,
-    after_phase: str | None,
-) -> list[str]:
-    """Fixed argv of a node process; the launcher appends each node's identity flags."""
-    argv = [sys.executable, "-m", "fltestbed", "node", "--example", str(example_id),
-            "--iters", str(no_iters)]
+) -> list[Value]:
+    """The sequential oracle of `engine`: every node's final data."""
+    if engine == CENTRALIZED:
+        return sim_centralized(ldata_arr, pdata_arr, fl_srv_id, callbacks, no_iters)
+    return sim_decentralized(ldata_arr, pdata_arr, callbacks, no_iters)
+
+
+def launch_federation(
+    example_id: int,
+    no_nodes: int,
+    *,
+    no_iters: int = 1,
+    base_port: int = 6000,
+    fl_srv_id: int | None = None,
+    seed: int | None = None,
+    recv_timeout: float | None = None,
+    connect_timeout: float | None = None,
+    fault_node: int | None = None,
+    after_phase: str | None = None,
+    per_node_timeout: float = 60.0,
+) -> LaunchResult:
+    """Run an example as `fltestbed node` processes, one per node.
+
+    The fault pair is checked before any node starts. Without fl_srv_id
+    the example's canonical server is used, clamped for small federations.
+    """
+    check_fault(no_nodes, fault_node, after_phase)
+    spec = get_example(example_id)
+    if fl_srv_id is None:
+        fl_srv_id = effective_fl_srv_id(spec, no_nodes)
+    program = [sys.executable, "-m", "fltestbed", "node", "--example", str(example_id),
+               "--iters", str(no_iters)]
     if seed is not None:
-        argv += ["--seed", str(seed)]
+        program += ["--seed", str(seed)]
     if recv_timeout is not None:
-        argv += ["--recv-timeout", str(recv_timeout)]
+        program += ["--recv-timeout", str(recv_timeout)]
     if connect_timeout is not None:
-        argv += ["--connect-timeout", str(connect_timeout)]
-    if kill_node is not None:
-        argv += ["--fault-node", str(kill_node), "--after-phase", str(after_phase)]
-    return argv
+        program += ["--connect-timeout", str(connect_timeout)]
+    if fault_node is not None:
+        program += ["--fault-node", str(fault_node), "--after-phase", after_phase]
+    return launch_all(
+        LaunchSpec(
+            program=tuple(program),
+            no_nodes=no_nodes,
+            fl_srv_id=fl_srv_id,
+            base_port=base_port,
+            per_node_timeout=per_node_timeout,
+        )
+    )
 
 
 def run_and_verify(
@@ -219,25 +237,31 @@ def run_and_verify(
     """Execute one example in the requested mode and verify it against its oracle."""
     if mode not in (MODE_INPROC, MODE_PROC):
         raise ConfigError(f"mode must be '{MODE_INPROC}' or '{MODE_PROC}', got {mode!r}")
-    if (kill_node is None) != (after_phase is None):
-        raise ConfigError("kill_node and after_phase must be given together")
-    if kill_node is not None and not (0 <= kill_node < no_nodes):
-        raise ConfigError(f"kill_node {kill_node} out of range [0, {no_nodes})")
+    check_fault(no_nodes, kill_node, after_phase)
     spec = get_example(example_id)
     ldata_arr = dataset_for(spec, no_nodes, seed)
     fl_srv_id = effective_fl_srv_id(spec, no_nodes)
-    oracle = _oracle_results(spec, ldata_arr, fl_srv_id, no_iters)
+    oracle = _simulate(spec.engine, spec.callbacks, ldata_arr, [None] * no_nodes, fl_srv_id,
+                       no_iters)
 
     started = time.monotonic()
     if mode == MODE_INPROC:
-        distributed = _distributed_inproc(
-            spec, fl_srv_id, ldata_arr, no_iters, recv_timeout, kill_node, after_phase
+        raw = run_federation_inproc(
+            no_nodes, fl_srv_id, spec.engine, spec.callbacks, ldata_arr, no_iters=no_iters,
+            recv_timeout=recv_timeout if recv_timeout is not None else RECV_TIMEOUT,
+            fault=(kill_node, after_phase) if kill_node is not None else None,
         )
+        distributed = [
+            (None, f"{type(r).__name__}: {r}") if isinstance(r, Exception) else (r, None)
+            for r in raw
+        ]
     else:
-        distributed = _distributed_proc(
-            spec, fl_srv_id, no_nodes, no_iters, base_port, seed, recv_timeout,
-            connect_timeout, kill_node, after_phase, per_node_timeout,
+        launch = launch_federation(
+            example_id, no_nodes, no_iters=no_iters, base_port=base_port, fl_srv_id=fl_srv_id,
+            seed=seed, recv_timeout=recv_timeout, connect_timeout=connect_timeout,
+            fault_node=kill_node, after_phase=after_phase, per_node_timeout=per_node_timeout,
         )
+        distributed = [_proc_result(launch.outcome(i)) for i in range(no_nodes)]
     wall_time = time.monotonic() - started
 
     per_node = []
@@ -264,83 +288,25 @@ def run_and_verify(
     )
 
 
-def _distributed_inproc(
-    spec: ExampleSpec,
-    fl_srv_id: int,
-    ldata_arr: list[Value],
-    no_iters: int,
-    recv_timeout: float | None,
-    kill_node: int | None,
-    after_phase: str | None,
-) -> list[tuple[Value, str | None]]:
-    raw = run_federation_inproc(
-        no_nodes=len(ldata_arr),
-        fl_srv_id=fl_srv_id,
-        engine=spec.engine,
-        callbacks=spec.callbacks,
-        ldata_arr=ldata_arr,
-        no_iters=no_iters,
-        recv_timeout=recv_timeout if recv_timeout is not None else RECV_TIMEOUT,
-        fault=(kill_node, after_phase) if kill_node is not None else None,
-    )
-    out = []
-    for r in raw:
-        if isinstance(r, Exception):
-            out.append((None, f"{type(r).__name__}: {r}"))
-        else:
-            out.append((r, None))
-    return out
-
-
-def _distributed_proc(
-    spec: ExampleSpec,
-    fl_srv_id: int,
-    no_nodes: int,
-    no_iters: int,
-    base_port: int,
-    seed: int | None,
-    recv_timeout: float | None,
-    connect_timeout: float | None,
-    kill_node: int | None,
-    after_phase: str | None,
-    per_node_timeout: float,
-) -> list[tuple[Value, str | None]]:
-    program = node_program(
-        spec.example_id, no_iters, seed, recv_timeout, connect_timeout, kill_node, after_phase
-    )
-    launch = launch_all(
-        LaunchSpec(
-            program=tuple(program),
-            no_nodes=no_nodes,
-            fl_srv_id=fl_srv_id,
-            base_port=base_port,
-            per_node_timeout=per_node_timeout,
-        )
-    )
-    out: list[tuple[Value, str | None]] = []
-    for node_id in range(no_nodes):
-        o = launch.outcome(node_id)
-        if o.timed_out:
-            out.append((None, f"node {node_id} exceeded the launch deadline and was terminated"))
-            continue
-        if o.exit_code != 0:
-            detail = o.stderr.strip().splitlines()
-            out.append(
-                (None, f"node {node_id} exited {o.exit_code}: {detail[-1] if detail else 'no diagnostic'}")
-            )
-            continue
-        found = None
-        for m in _RESULT_LINE.finditer(o.stdout):
-            if int(m.group(1)) == node_id:
-                found = m.group(2)
-        if found is None:
-            out.append((None, f"node {node_id} printed no RESULT line"))
-            continue
-        try:
-            out.append((loads(found), None))
-        except FlError as e:
-            out.append((None, f"node {node_id} RESULT payload unreadable: {e}"))
-    return out
+def _proc_result(o: NodeOutcome) -> tuple[Value, str | None]:
+    """A node process's RESULT payload, or the diagnostic of why it has none."""
+    node_id = o.node_id
+    if o.timed_out:
+        return None, f"node {node_id} exceeded the launch deadline and was terminated"
+    if o.exit_code != 0:
+        detail = o.stderr.strip().splitlines()
+        last = detail[-1] if detail else "no diagnostic"
+        return None, f"node {node_id} exited {o.exit_code}: {last}"
+    found = None
+    for m in _RESULT_LINE.finditer(o.stdout):
+        if int(m.group(1)) == node_id:
+            found = m.group(2)
+    if found is None:
+        return None, f"node {node_id} printed no RESULT line"
+    try:
+        return loads(found), None
+    except FlError as e:
+        return None, f"node {node_id} RESULT payload unreadable: {e}"
 
 
 # --- randomized engine-vs-simulator fuzzing ---------------------------------
@@ -429,12 +395,11 @@ def _ordering_probe(no_nodes: int, fl_srv_id: int, engine: str, no_iters: int) -
 
 def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
     """Randomized federations through the in-process engine vs. the simulator."""
-    if engine not in (ENGINE_CENT, ENGINE_DECENT):
-        raise ConfigError(f"engine must be '{ENGINE_CENT}' or '{ENGINE_DECENT}', got {engine!r}")
+    if engine not in (CENTRALIZED, DECENTRALIZED):
+        raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
-    engine_name = CENTRALIZED if engine == ENGINE_CENT else DECENTRALIZED
 
     passed = failed = ordering_violations = 0
     failures: list[dict] = []
@@ -447,12 +412,9 @@ def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
         ldata_arr: list[Value] = readings if layout == SCALAR else [[x] for x in readings]
         pdata_arr: list[Value] = [None] * no_nodes
 
-        if engine_name == CENTRALIZED:
-            expected = sim_centralized(ldata_arr, pdata_arr, fl_srv_id, callbacks, no_iters)
-        else:
-            expected = sim_decentralized(ldata_arr, pdata_arr, callbacks, no_iters)
+        expected = _simulate(engine, callbacks, ldata_arr, pdata_arr, fl_srv_id, no_iters)
         actual = run_federation_inproc(
-            no_nodes, fl_srv_id, engine_name, callbacks, ldata_arr, pdata_arr, no_iters
+            no_nodes, fl_srv_id, engine, callbacks, ldata_arr, pdata_arr, no_iters
         )
 
         problems = []
@@ -462,8 +424,8 @@ def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
             elif not approx_eq(r, expected[i]):
                 problems.append(f"node {i} got {dumps(r)}, oracle {dumps(expected[i])}")
 
-        observed = _ordering_probe(no_nodes, fl_srv_id, engine_name, no_iters)
-        if engine_name == CENTRALIZED:
+        observed = _ordering_probe(no_nodes, fl_srv_id, engine, no_iters)
+        if engine == CENTRALIZED:
             want = [float(i) for i in range(no_nodes) if i != fl_srv_id]
             if observed[fl_srv_id] != want:
                 ordering_violations += 1

@@ -26,7 +26,7 @@ import socket
 import struct
 import threading
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -161,7 +161,6 @@ class _MessageBuffer:
         self._wait = self._cond.wait if wait is None else wait
         self._buckets: dict[tuple[Phase, int], dict[int, Envelope]] = defaultdict(dict)
         self._error: Exception | None = None
-        self.received_from: Counter[int] = Counter()
 
     def put(self, env: Envelope) -> None:
         with self._cond:
@@ -172,7 +171,6 @@ class _MessageBuffer:
                     f"at iteration {env.iter}"
                 )
             bucket[env.src] = env
-            self.received_from[env.src] += 1
             self._cond.notify_all()
 
     def fail(self, exc: Exception) -> None:
@@ -229,13 +227,8 @@ class _Transport:
         self.node_id = node_id
         self.no_nodes = no_nodes
         self.recv_timeout = recv_timeout
-        self.sent_to: Counter[int] = Counter()
         self._buffer = buffer
         self._closed = False
-
-    @property
-    def received_from(self) -> Counter[int]:
-        return self._buffer.received_from
 
     def send(self, env: Envelope) -> None:
         self._send(env.src, (env.dst,), env.phase, env.iter, env.payload)
@@ -261,7 +254,6 @@ class _Transport:
         text = dumps(payload).encode("ascii")  # validates the payload
         for dst in dsts:
             self._deliver(dst, phase, iteration, _frame(src, dst, phase, iteration, text))
-            self.sent_to[dst] += 1
 
     def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
         raise NotImplementedError

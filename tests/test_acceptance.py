@@ -13,10 +13,9 @@ import time
 
 import pytest
 
+from fltestbed.engine import CENTRALIZED, DECENTRALIZED
 from fltestbed.examples import seq_example1, seq_example2, sim_decentralized, get_example
 from fltestbed.harness import (
-    ENGINE_CENT,
-    ENGINE_DECENT,
     MODE_INPROC,
     MODE_PROC,
     fuzz_verify,
@@ -104,8 +103,8 @@ def test_criterion_3_example3_reproduction():
 @pytest.fixture(scope="module")
 def fuzz_summaries():
     started = time.monotonic()
-    cent = fuzz_verify(ENGINE_CENT, 100, seed=42)
-    decent = fuzz_verify(ENGINE_DECENT, 100, seed=42)
+    cent = fuzz_verify(CENTRALIZED, 100, seed=42)
+    decent = fuzz_verify(DECENTRALIZED, 100, seed=42)
     return cent, decent, time.monotonic() - started
 
 

@@ -4,16 +4,18 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fltestbed.engine import CallbackPair, FlConfig, FlInstance
-from fltestbed.errors import CallbackError, ConfigError, ProtocolTimeout, UsageError
-from fltestbed.examples import (
+from fltestbed.engine import (
     CENTRALIZED,
     DECENTRALIZED,
-    get_example,
-    sim_centralized,
-    sim_decentralized,
+    CallbackPair,
+    FlConfig,
+    FlInstance,
+    run_node,
 )
+from fltestbed.errors import CallbackError, ConfigError, ProtocolTimeout, UsageError
+from fltestbed.examples import get_example, sim_centralized, sim_decentralized
 from fltestbed.harness import run_federation_inproc
+from fltestbed.transport import TcpTransport, TransportConfig
 from fltestbed.values import approx_eq
 
 from conftest import alloc_base_port
@@ -37,14 +39,7 @@ def run_federation(kind, no_nodes, fl_srv_id, engine, callbacks, ldata_arr,
         try:
             cfg = FlConfig(no_nodes=no_nodes, node_id=i, fl_srv_id=fl_srv_id,
                            base_port=base_port, recv_timeout=recv_timeout, connect_timeout=2.0)
-            inst = FlInstance(cfg)
-            try:
-                if engine == CENTRALIZED:
-                    results[i] = inst.fl_centralized(pairs[i], ldata_arr[i], pdata_arr[i], no_iters)
-                else:
-                    results[i] = inst.fl_decentralized(pairs[i], ldata_arr[i], pdata_arr[i], no_iters)
-            finally:
-                inst.shutdown()
+            results[i] = run_node(cfg, engine, pairs[i], ldata_arr[i], pdata_arr[i], no_iters)
         except Exception as e:
             results[i] = e
 
@@ -418,3 +413,44 @@ def test_decentralized_matches_simulator(no_nodes, no_iters, data):
     actual = unwrap(run_federation("loopback", no_nodes, 0, DECENTRALIZED,
                                    e3.callbacks, ldata, no_iters=no_iters))
     assert all(approx_eq(a, b) for a, b in zip(actual, expected))
+
+
+class TestRunNode:
+    @pytest.mark.parametrize("server_fails", [False, True])
+    def test_tcp_port_is_released(self, server_fails):
+        def bad_server(pdata, msgs):
+            raise RuntimeError("boom")
+
+        e2 = get_example(2)
+        pairs = [CallbackPair(e2.callbacks.client, bad_server) if server_fails else e2.callbacks,
+                 e2.callbacks]
+        base = alloc_base_port(2)
+        results = [None, None]
+
+        def worker(i):
+            cfg = FlConfig(no_nodes=2, node_id=i, fl_srv_id=0, base_port=base,
+                           recv_timeout=5.0, connect_timeout=2.0)
+            try:
+                results[i] = run_node(cfg, CENTRALIZED, pairs[i], [float(i + 1)])
+            except Exception as e:
+                results[i] = e
+
+        threads = [threading.Thread(target=worker, args=(i,), daemon=True) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30.0)
+        if server_fails:
+            assert isinstance(results[0], CallbackError)
+        else:
+            assert results[0] == [1.5]
+        assert results[1] == [1.5]
+        # the same base port binds again at once
+        cfg = TransportConfig(base_port=base, no_nodes=2)
+        for i in range(2):
+            TcpTransport(cfg, i).close()
+
+    def test_unknown_engine_rejected(self):
+        cfg = FlConfig(no_nodes=2, node_id=0)
+        with pytest.raises(ConfigError):
+            run_node(cfg, "centralized", get_example(2).callbacks, [1.0])

@@ -4,11 +4,10 @@ import sys
 
 import pytest
 
+from fltestbed.engine import CENTRALIZED, DECENTRALIZED
 from fltestbed.errors import ConfigError
 from fltestbed.values import loads
 from fltestbed.harness import (
-    ENGINE_CENT,
-    ENGINE_DECENT,
     MODE_INPROC,
     MODE_PROC,
     canonical_text,
@@ -134,12 +133,12 @@ class TestReportFormat:
 
 class TestFuzz:
     def test_deterministic_for_fixed_seed(self):
-        a = fuzz_verify(ENGINE_CENT, 10, seed=7)
-        b = fuzz_verify(ENGINE_CENT, 10, seed=7)
+        a = fuzz_verify(CENTRALIZED, 10, seed=7)
+        b = fuzz_verify(CENTRALIZED, 10, seed=7)
         assert a.to_mapping() == b.to_mapping()
 
     def test_all_zero_data_passes(self):
-        summary = fuzz_verify(ENGINE_DECENT, 5, seed=0)
+        summary = fuzz_verify(DECENTRALIZED, 5, seed=0)
         assert summary.passed == 5
         assert summary.ordering_violations == 0
 
@@ -237,7 +236,6 @@ class TestCli:
             specs.append(spec)
             raise Captured
 
-        monkeypatch.setattr(cli, "launch_all", capture)
         monkeypatch.setattr(harness, "launch_all", capture)
         with pytest.raises(Captured):
             cli.main(["launch", "--example", "3", "--nodes", "4", "--iters", "2",
@@ -252,3 +250,73 @@ class TestCli:
         assert "--fault-node" in launched.program and "--seed" in launched.program
         assert (launched.no_nodes, launched.fl_srv_id, launched.base_port) == \
             (verified.no_nodes, verified.fl_srv_id, verified.base_port)
+
+    @pytest.mark.parametrize("argv", [
+        ["launch", "--example", "3", "--after-phase", "p1"],
+        ["launch", "--example", "3", "--fault-node", "1"],
+        ["launch", "--example", "3", "--nodes", "3", "--fault-node", "3", "--after-phase", "p1"],
+        ["node", "--example", "3", "--no-nodes", "3", "--node-id", "0", "--fault-node", "1"],
+    ])
+    def test_bad_fault_pair_fails_before_any_node_starts(self, argv, monkeypatch, capsys):
+        from fltestbed import cli, engine, harness
+
+        started = []
+        monkeypatch.setattr(harness, "launch_all", started.append)
+        monkeypatch.setattr(engine, "FlInstance", lambda *a, **k: started.append(a))
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert "fault node" in err
+        assert "usage:" not in out + err
+        assert started == []
+
+    def test_cli_surface(self):
+        # (option strings, default, required, choices) of every flag, per subcommand
+        import argparse
+
+        from fltestbed.cli import build_parser
+
+        points = ("srv", "cli", "p1", "p2")
+        run = {
+            (("--example",), None, True, (1, 2, 3)),
+            (("--base-port",), 6000, False, None),
+            (("--iters",), 1, False, None),
+            (("--seed",), None, False, None),
+            (("--recv-timeout",), None, False, None),
+            (("--connect-timeout",), None, False, None),
+            (("--after-phase",), None, False, points),
+        }
+        expected = {
+            "node": run | {
+                (("--fl-srv-id",), None, False, None),
+                (("--fault-node",), None, False, None),
+                (("--no-nodes",), None, True, None),
+                (("--node-id",), None, True, None),
+            },
+            "launch": run | {
+                (("--fl-srv-id",), None, False, None),
+                (("--fault-node",), None, False, None),
+                (("--nodes",), 3, False, None),
+                (("--timeout",), 60.0, False, None),
+            },
+            "verify": run | {
+                (("--kill-node",), None, False, None),
+                (("--mode",), None, True, ("inproc", "proc")),
+                (("--nodes",), 3, False, None),
+                (("--report",), None, False, None),
+            },
+            "fuzz": {
+                (("--engine",), None, True, ("cent", "decent")),
+                (("--trials",), 100, False, None),
+                (("--seed",), 0, False, None),
+            },
+        }
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: {(tuple(a.option_strings), a.default, a.required,
+                    None if a.choices is None else tuple(a.choices))
+                   for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+            for name, parser in sub.choices.items()
+        }
+        assert surface == expected
