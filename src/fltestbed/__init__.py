@@ -4,6 +4,10 @@ Write a client callback and a server callback, start the same program as N
 independent node processes, and let the generic centralized or decentralized
 engine move the data. Sequential simulators double as correctness oracles
 for every distributed run.
+
+The package root is the node library (engine, errors, examples, transport,
+values), which is all a node process loads. The tooling that spawns and
+checks federations is imported as fltestbed.harness and fltestbed.launcher.
 """
 
 from .engine import CallbackPair, FlConfig, FlInstance, run_node
@@ -28,9 +32,7 @@ from .examples import (
     sim_centralized,
     sim_decentralized,
 )
-from .harness import FuzzSummary, RunReport, fuzz_verify, run_and_verify
-from .launcher import LaunchResult, LaunchSpec, launch_all
-from .transport import Envelope, LoopbackHub, Phase, TcpTransport, TransportConfig
+from .transport import Envelope, LoopbackHub, Phase, TcpTransport
 from .values import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, Value, approx_eq, dumps, loads
 
 __version__ = "0.1.0"
@@ -48,28 +50,20 @@ __all__ = [
     "FlConfig",
     "FlError",
     "FlInstance",
-    "FuzzSummary",
     "LaunchError",
-    "LaunchResult",
-    "LaunchSpec",
     "LoopbackHub",
     "ParseError",
     "Phase",
     "ProtocolTimeout",
-    "RunReport",
     "SerializationError",
     "TcpTransport",
-    "TransportConfig",
     "TransportError",
     "UsageError",
     "Value",
     "approx_eq",
     "dumps",
-    "fuzz_verify",
     "get_example",
-    "launch_all",
     "loads",
-    "run_and_verify",
     "run_node",
     "seq_example1",
     "seq_example2",

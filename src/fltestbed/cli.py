@@ -9,7 +9,10 @@ node, launch and verify share their run flags. A fault is a pair, a node
 (--kill-node on verify, --fault-node elsewhere) and --after-phase; a half
 pair or a node out of range exits 1 with one `error:` line before any node
 starts. node runs engine.run_node; launch and verify --mode proc spawn the
-nodes through harness.launch_federation, so both build the same node argv.
+nodes through harness.launch_federation, so both build the same node argv
+and make the same checks a node would before spawning any. Only launch,
+verify and fuzz import harness, so a node process loads the node library
+alone.
 
 Exit codes: node exits 0 on success, 1 on protocol/config errors, 2 on a
 receive timeout. verify exits 0 only when every node matched the oracle;
@@ -21,9 +24,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import harness
-from .engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS, FlConfig, check_fault, run_node
-from .errors import FaultInjected, FlError, ProtocolTimeout
+from .engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS, check_fault, node_config, run_node
+from .errors import FlError, ProtocolTimeout
 from .examples import dataset_for, effective_fl_srv_id, get_example
 from .values import dumps
 
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run an example and compare against the oracle")
     _add_run_flags(verify, "--kill-node")
-    verify.add_argument("--mode", required=True, choices=(harness.MODE_INPROC, harness.MODE_PROC))
+    verify.add_argument("--mode", required=True, choices=("inproc", "proc"))
     verify.add_argument("--nodes", type=int, default=3)
     verify.add_argument("--report", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
@@ -98,18 +100,8 @@ def cmd_node(args) -> int:
     if fl_srv_id is None:
         fl_srv_id = effective_fl_srv_id(spec, args.no_nodes)
     ldata_arr = dataset_for(spec, args.no_nodes, args.seed)
-    kwargs = {}
-    if args.recv_timeout is not None:
-        kwargs["recv_timeout"] = args.recv_timeout
-    if args.connect_timeout is not None:
-        kwargs["connect_timeout"] = args.connect_timeout
-    cfg = FlConfig(
-        no_nodes=args.no_nodes,
-        node_id=args.node_id,
-        fl_srv_id=fl_srv_id,
-        base_port=args.base_port,
-        **kwargs,
-    )
+    cfg = node_config(args.no_nodes, args.node_id, fl_srv_id, args.base_port,
+                      args.recv_timeout, args.connect_timeout)
     fault = args.after_phase if args.fault_node == args.node_id else None
     result = run_node(cfg, spec.engine, spec.callbacks, ldata_arr[args.node_id],
                       no_iters=args.iters, fault_after_phase=fault)
@@ -118,6 +110,8 @@ def cmd_node(args) -> int:
 
 
 def cmd_launch(args) -> int:
+    from . import harness
+
     result = harness.launch_federation(
         args.example, args.nodes, no_iters=args.iters, base_port=args.base_port,
         fl_srv_id=args.fl_srv_id, seed=args.seed, recv_timeout=args.recv_timeout,
@@ -135,6 +129,8 @@ def cmd_launch(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import harness
+
     report = harness.run_and_verify(
         example_id=args.example,
         mode=args.mode,
@@ -157,6 +153,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from . import harness
+
     summary = harness.fuzz_verify(args.engine, args.trials, args.seed)
     print(summary.to_text())
     return EXIT_OK if summary.ok else EXIT_ERROR
@@ -170,9 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     except ProtocolTimeout as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_TIMEOUT
-    except FaultInjected as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
     except FlError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

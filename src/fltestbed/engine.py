@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CallbackError, ConfigError, FaultInjected, UsageError
-from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT, Envelope, Phase, TcpTransport, TransportConfig
+from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT, Envelope, Phase, TcpTransport
 from .values import Value
 
 # Points at which fault injection may crash a node, named after the send
@@ -51,8 +51,15 @@ def check_fault(no_nodes: int, node: int | None, point: str | None) -> None:
         raise ConfigError(f"fault node {node} out of range [0, {no_nodes})")
 
 
+def check_iters(no_iters: int) -> None:
+    if no_iters < 1:
+        raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
+
+
 @dataclass(frozen=True)
 class FlConfig:
+    """One node's view of the federation; TcpTransport reads its port and timeouts."""
+
     no_nodes: int
     node_id: int
     fl_srv_id: int = 0
@@ -67,18 +74,19 @@ class FlConfig:
             raise ConfigError(f"node_id {self.node_id} out of range [0, {self.no_nodes})")
         if not (0 <= self.fl_srv_id < self.no_nodes):
             raise ConfigError(f"fl_srv_id {self.fl_srv_id} out of range [0, {self.no_nodes})")
-        try:
-            self.transport_config()
-        except UsageError as e:
-            raise ConfigError(str(e)) from None
+        if not (0 < self.base_port and self.base_port + self.no_nodes - 1 <= 65535):
+            raise ConfigError(f"port range {self.base_port}..+{self.no_nodes - 1} out of bounds")
+        if self.recv_timeout <= 0 or self.connect_timeout <= 0:
+            raise ConfigError("timeouts must be positive")
 
-    def transport_config(self) -> TransportConfig:
-        return TransportConfig(
-            base_port=self.base_port,
-            no_nodes=self.no_nodes,
-            connect_timeout=self.connect_timeout,
-            recv_timeout=self.recv_timeout,
-        )
+
+def node_config(no_nodes: int, node_id: int, fl_srv_id: int, base_port: int,
+                recv_timeout: float | None = None,
+                connect_timeout: float | None = None) -> FlConfig:
+    """The FlConfig of a node started with these run flags; a None timeout keeps its default."""
+    return FlConfig(no_nodes, node_id, fl_srv_id, base_port,
+                    CONNECT_TIMEOUT if connect_timeout is None else connect_timeout,
+                    RECV_TIMEOUT if recv_timeout is None else recv_timeout)
 
 
 @dataclass(frozen=True)
@@ -104,9 +112,7 @@ class FlInstance:
         self._running = False
         self._closed = False
         self._lock = threading.Lock()
-        self._transport = transport if transport is not None else TcpTransport(
-            cfg.transport_config(), cfg.node_id
-        )
+        self._transport = transport if transport is not None else TcpTransport(cfg)
 
     @property
     def transport(self):
@@ -120,8 +126,7 @@ class FlInstance:
         no_iters: int = 1,
     ) -> Value:
         """Run the centralized engine; must be called on every node."""
-        if no_iters < 1:
-            raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
+        check_iters(no_iters)
         cfg = self.cfg
         peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
         with self._begin_run():
@@ -150,8 +155,7 @@ class FlInstance:
         no_iters: int = 1,
     ) -> Value:
         """Run the decentralized engine; must be called on every node."""
-        if no_iters < 1:
-            raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
+        check_iters(no_iters)
         cfg = self.cfg
         peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
         with self._begin_run():

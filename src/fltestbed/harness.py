@@ -20,7 +20,16 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .engine import CENTRALIZED, DECENTRALIZED, CallbackPair, FlConfig, check_fault, run_node
+from .engine import (
+    CENTRALIZED,
+    DECENTRALIZED,
+    CallbackPair,
+    FlConfig,
+    check_fault,
+    check_iters,
+    node_config,
+    run_node,
+)
 from .errors import ConfigError, FlError
 from .examples import (
     SCALAR,
@@ -193,13 +202,17 @@ def launch_federation(
 ) -> LaunchResult:
     """Run an example as `fltestbed node` processes, one per node.
 
-    The fault pair is checked before any node starts. Without fl_srv_id
-    the example's canonical server is used, clamped for small federations.
+    The checks every node would make (fault pair, dataset, config, iteration
+    count) run before any node starts. Without fl_srv_id the example's
+    canonical server is used, clamped for small federations.
     """
     check_fault(no_nodes, fault_node, after_phase)
     spec = get_example(example_id)
     if fl_srv_id is None:
         fl_srv_id = effective_fl_srv_id(spec, no_nodes)
+    dataset_for(spec, no_nodes, seed)
+    node_config(no_nodes, 0, fl_srv_id, base_port, recv_timeout, connect_timeout)
+    check_iters(no_iters)
     program = [sys.executable, "-m", "fltestbed", "node", "--example", str(example_id),
                "--iters", str(no_iters)]
     if seed is not None:

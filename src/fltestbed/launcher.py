@@ -9,8 +9,6 @@ so a launch always returns within per_node_timeout plus the grace window.
 
 from __future__ import annotations
 
-import os
-import shutil
 import subprocess
 import time
 from dataclasses import dataclass
@@ -59,16 +57,6 @@ class LaunchResult:
         return self.per_node[node_id]
 
 
-def _check_executable(program: tuple[str, ...]) -> None:
-    exe = program[0]
-    if os.path.sep in exe or (os.path.altsep and os.path.altsep in exe):
-        ok = os.path.isfile(exe) and os.access(exe, os.X_OK)
-    else:
-        ok = shutil.which(exe) is not None
-    if not ok:
-        raise LaunchError(f"program not found or not executable: {exe}")
-
-
 def node_argv(spec: LaunchSpec, node_id: int) -> list[str]:
     """Full argument vector for one node process."""
     return list(spec.program) + [
@@ -83,10 +71,9 @@ def launch_all(spec: LaunchSpec) -> LaunchResult:
     """Run the whole federation; returns per-node exit status and output.
 
     Timeouts are reported in the result (overall_success False), not raised;
-    failing to spawn at all raises LaunchError.
+    a node that cannot be spawned (say, a missing or non-executable program)
+    raises LaunchError after the nodes already started are killed.
     """
-    _check_executable(spec.program)
-
     procs: list[subprocess.Popen] = []
     started = time.monotonic()
     try:

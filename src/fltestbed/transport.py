@@ -1,14 +1,15 @@
 """Message transport between node processes.
 
-Node i listens on 127.0.0.1:base_port+i. A frame on the wire is a 4-byte
-big-endian length followed by exactly that many body bytes; the body is a
-text object with keys src, dst, phase, iter, payload in that fixed order and
-no whitespace, payload in canonical value form. The decoder accepts only
-that header and parses the payload with values.loads, the parser of RESULT
-lines, so a hop returns exactly the payload that was sent. A receive names
-its expected senders and takes exactly one envelope from each; messages
-that do not match the (phase, iteration) a node is currently waiting for
-stay buffered, never dropped.
+TcpTransport reads the node's engine.FlConfig, which has already checked
+the port range and the timeouts; node i listens on 127.0.0.1:base_port+i.
+A frame on the wire is a 4-byte big-endian length followed by exactly that
+many body bytes; the body is a text object with keys src, dst, phase,
+iter, payload in that fixed order and no whitespace, payload in canonical
+value form. The decoder accepts only that header and parses the payload
+with values.loads, the parser of RESULT lines, so a hop returns exactly the
+payload that was sent. A receive names its expected senders and takes
+exactly one envelope from each; messages that do not match the (phase,
+iteration) a node is currently waiting for stay buffered, never dropped.
 
 A broadcast encodes its payload once and puts a per-peer header in front
 of the same bytes. The in-process loopback transport shares the same surface
@@ -29,10 +30,14 @@ import time
 from collections import defaultdict
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import ParseError, ProtocolTimeout, TransportError, UsageError
 from .values import Value, dumps, loads
 from .values import validate_value  # noqa: F401  (bound here for perfbench's tracer)
+
+if TYPE_CHECKING:
+    from .engine import FlConfig
 
 
 class Phase(enum.Enum):
@@ -73,22 +78,6 @@ class Envelope:
 # messages of one receive to arrive.
 CONNECT_TIMEOUT = 5.0
 RECV_TIMEOUT = 30.0
-
-
-@dataclass(frozen=True)
-class TransportConfig:
-    base_port: int
-    no_nodes: int
-    connect_timeout: float = CONNECT_TIMEOUT
-    recv_timeout: float = RECV_TIMEOUT
-
-    def __post_init__(self):
-        if self.no_nodes < 2:
-            raise UsageError(f"a federation needs at least 2 nodes, got {self.no_nodes}")
-        if not (0 < self.base_port and self.base_port + self.no_nodes - 1 <= 65535):
-            raise UsageError(f"port range {self.base_port}..+{self.no_nodes - 1} out of bounds")
-        if self.recv_timeout <= 0 or self.connect_timeout <= 0:
-            raise UsageError("timeouts must be positive")
 
 
 _LENGTH = struct.Struct("!I")
@@ -284,12 +273,10 @@ class TcpTransport(_Transport):
     until connect_timeout.
     """
 
-    def __init__(self, cfg: TransportConfig, node_id: int):
-        if not (0 <= node_id < cfg.no_nodes):
-            raise UsageError(f"node id {node_id} out of range for {cfg.no_nodes} nodes")
-        super().__init__(node_id, cfg.no_nodes, cfg.recv_timeout, _MessageBuffer(self._pump))
+    def __init__(self, cfg: FlConfig):
+        super().__init__(cfg.node_id, cfg.no_nodes, cfg.recv_timeout, _MessageBuffer(self._pump))
         self.cfg = cfg
-        self.port = cfg.base_port + node_id
+        self.port = cfg.base_port + cfg.node_id
         self._out: dict[int, socket.socket] = {}
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -298,7 +285,7 @@ class TcpTransport(_Transport):
             listener.listen(cfg.no_nodes)
         except OSError as e:
             listener.close()
-            raise TransportError(f"node {node_id} cannot bind port {self.port}: {e}") from e
+            raise TransportError(f"node {cfg.node_id} cannot bind port {self.port}: {e}") from e
         listener.setblocking(False)
         self._listener = listener
         self._sel = selectors.DefaultSelector()

@@ -15,7 +15,7 @@ from fltestbed.engine import (
 from fltestbed.errors import CallbackError, ConfigError, ProtocolTimeout, UsageError
 from fltestbed.examples import get_example, sim_centralized, sim_decentralized
 from fltestbed.harness import run_federation_inproc
-from fltestbed.transport import TcpTransport, TransportConfig
+from fltestbed.transport import TcpTransport
 from fltestbed.values import approx_eq
 
 from conftest import alloc_base_port
@@ -446,9 +446,8 @@ class TestRunNode:
             assert results[0] == [1.5]
         assert results[1] == [1.5]
         # the same base port binds again at once
-        cfg = TransportConfig(base_port=base, no_nodes=2)
         for i in range(2):
-            TcpTransport(cfg, i).close()
+            TcpTransport(FlConfig(no_nodes=2, node_id=i, base_port=base)).close()
 
     def test_unknown_engine_rejected(self):
         cfg = FlConfig(no_nodes=2, node_id=0)

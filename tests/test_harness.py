@@ -251,14 +251,24 @@ class TestCli:
         assert (launched.no_nodes, launched.fl_srv_id, launched.base_port) == \
             (verified.no_nodes, verified.fl_srv_id, verified.base_port)
 
-    @pytest.mark.parametrize("argv", [
-        ["launch", "--example", "3", "--after-phase", "p1"],
-        ["launch", "--example", "3", "--fault-node", "1"],
-        ["launch", "--example", "3", "--nodes", "3", "--fault-node", "3", "--after-phase", "p1"],
-        ["node", "--example", "3", "--no-nodes", "3", "--node-id", "0", "--fault-node", "1"],
+    # (argv, text the error must contain)
+    @pytest.mark.parametrize("case", [
+        (["launch", "--example", "3", "--after-phase", "p1"], "fault node"),
+        (["launch", "--example", "3", "--fault-node", "1"], "fault node"),
+        (["launch", "--example", "3", "--nodes", "3", "--fault-node", "3", "--after-phase", "p1"],
+         "fault node"),
+        (["node", "--example", "3", "--no-nodes", "3", "--node-id", "0", "--fault-node", "1"],
+         "fault node"),
+        (["launch", "--example", "2", "--nodes", "4"], "canonical 3-node dataset"),
+        (["launch", "--example", "2", "--iters", "0"], "no_iters must be >= 1"),
+        (["launch", "--example", "2", "--base-port", "70000"], "port range"),
+        (["launch", "--example", "2", "--recv-timeout", "0"], "timeouts must be positive"),
+        (["verify", "--example", "3", "--mode", "proc", "--base-port", "70000"], "port range"),
     ])
-    def test_bad_fault_pair_fails_before_any_node_starts(self, argv, monkeypatch, capsys):
+    def test_bad_run_fails_before_any_node_starts(self, case, monkeypatch, capsys):
         from fltestbed import cli, engine, harness
+
+        argv, reason = case
 
         started = []
         monkeypatch.setattr(harness, "launch_all", started.append)
@@ -266,7 +276,7 @@ class TestCli:
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert err.splitlines() == [err.strip()] and err.startswith("error: ")
-        assert "fault node" in err
+        assert reason in err
         assert "usage:" not in out + err
         assert started == []
 

@@ -37,10 +37,14 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             LaunchSpec(program=ECHO_ARGS, no_nodes=3, fl_srv_id=3, base_port=6000)
 
-    def test_missing_program_fails_before_spawn(self):
-        spec = LaunchSpec(program=("/no/such/binary",), no_nodes=2, fl_srv_id=0, base_port=6000)
-        with pytest.raises(LaunchError):
-            launch_all(spec)
+    def test_missing_program_fails_before_spawn(self, tmp_path):
+        not_executable = tmp_path / "node.sh"
+        not_executable.write_text("#!/bin/sh\necho started\n")
+        not_executable.chmod(0o644)
+        for program in ("/no/such/binary", str(not_executable)):
+            spec = LaunchSpec(program=(program,), no_nodes=2, fl_srv_id=0, base_port=6000)
+            with pytest.raises(LaunchError, match="failed to spawn node 0"):
+                launch_all(spec)
 
 
 class TestNodeArgv:

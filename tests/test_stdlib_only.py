@@ -16,3 +16,18 @@ def test_runtime_imports_only_the_standard_library():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert set(out.stdout.split()) == {"__main__", "fltestbed"}
+
+
+def test_node_process_loads_only_the_node_library():
+    # what `fltestbed node` imports; the tooling stays importable by its own name
+    code = ("import sys, fltestbed, fltestbed.cli\n"
+            "print(*sorted({'fltestbed.harness', 'fltestbed.launcher', 'subprocess'}"
+            " & set(sys.modules)))\n"
+            "import fltestbed.harness\n"
+            "assert all(hasattr(fltestbed, name) for name in fltestbed.__all__)\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == []

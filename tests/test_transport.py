@@ -9,7 +9,9 @@ import time
 import pytest
 from hypothesis import given, settings
 
+from fltestbed.engine import FlConfig
 from fltestbed.errors import (
+    ConfigError,
     ParseError,
     ProtocolTimeout,
     SerializationError,
@@ -21,7 +23,6 @@ from fltestbed.transport import (
     LoopbackHub,
     Phase,
     TcpTransport,
-    TransportConfig,
     decode_frame,
     encode_frame,
 )
@@ -139,9 +140,11 @@ def _federation(kind: str, no_nodes: int, recv_timeout: float = 5.0):
         transports = hub.transports()
     else:
         base = alloc_base_port(no_nodes)
-        cfg = TransportConfig(base_port=base, no_nodes=no_nodes, recv_timeout=recv_timeout,
-                              connect_timeout=2.0)
-        transports = [TcpTransport(cfg, i) for i in range(no_nodes)]
+        transports = [
+            TcpTransport(FlConfig(no_nodes=no_nodes, node_id=i, base_port=base,
+                                  recv_timeout=recv_timeout, connect_timeout=2.0))
+            for i in range(no_nodes)
+        ]
 
     def close_all():
         for t in transports:
@@ -310,7 +313,7 @@ class TestBroadcast:
     def test_frames_match_encode_frame(self):
         # peers 1 and 2 are raw sockets, so the test sees the exact wire bytes
         base = alloc_base_port(3)
-        cfg = TransportConfig(base_port=base, no_nodes=3, connect_timeout=2.0)
+        cfg = FlConfig(no_nodes=3, node_id=0, base_port=base, connect_timeout=2.0)
         listeners = []
         for dst in (1, 2):
             s = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -318,7 +321,7 @@ class TestBroadcast:
             s.bind(("127.0.0.1", base + dst))
             s.listen(1)
             listeners.append(s)
-        node = TcpTransport(cfg, 0)
+        node = TcpTransport(cfg)
         payloads = [[2.0, -0.0, 1e16, 0.1], [[1.5], [2]], None, 123456789012345.0]
         try:
             for k, payload in enumerate(payloads):
@@ -409,8 +412,7 @@ class TestTcpSpecifics:
 
     def test_port_scheme_additive(self):
         base = alloc_base_port(3)
-        cfg = TransportConfig(base_port=base, no_nodes=3)
-        t = TcpTransport(cfg, 2)
+        t = TcpTransport(FlConfig(no_nodes=3, node_id=2, base_port=base))
         try:
             assert t.port == base + 2
         finally:
@@ -418,31 +420,30 @@ class TestTcpSpecifics:
 
     def test_bind_exclusivity(self):
         base = alloc_base_port(3)
-        cfg = TransportConfig(base_port=base, no_nodes=3)
-        t1 = TcpTransport(cfg, 2)
+        cfg = FlConfig(no_nodes=3, node_id=2, base_port=base)
+        t1 = TcpTransport(cfg)
         try:
             with pytest.raises(TransportError):
-                TcpTransport(cfg, 2)
+                TcpTransport(cfg)
         finally:
             t1.close()
 
     def test_node_id_out_of_range(self):
-        cfg = TransportConfig(base_port=alloc_base_port(3), no_nodes=3)
-        with pytest.raises(UsageError):
-            TcpTransport(cfg, 5)
+        # the node's config cannot be built, so neither can its transport
+        with pytest.raises(ConfigError):
+            TcpTransport(FlConfig(no_nodes=3, node_id=5, base_port=alloc_base_port(3)))
 
     def test_close_releases_port(self):
         base = alloc_base_port(2)
-        cfg = TransportConfig(base_port=base, no_nodes=2)
-        t = TcpTransport(cfg, 0)
+        cfg = FlConfig(no_nodes=2, node_id=0, base_port=base)
+        t = TcpTransport(cfg)
         t.close()
-        t2 = TcpTransport(cfg, 0)
+        t2 = TcpTransport(cfg)
         t2.close()
 
     def test_unreachable_destination(self):
         base = alloc_base_port(2)
-        cfg = TransportConfig(base_port=base, no_nodes=2, connect_timeout=0.4)
-        t = TcpTransport(cfg, 0)
+        t = TcpTransport(FlConfig(no_nodes=2, node_id=0, base_port=base, connect_timeout=0.4))
         try:
             started = time.monotonic()
             with pytest.raises(TransportError) as exc:
@@ -456,13 +457,14 @@ class TestTcpSpecifics:
     def test_startup_race_tolerated(self):
         # sender connects while the destination binds a moment later
         base = alloc_base_port(2)
-        cfg = TransportConfig(base_port=base, no_nodes=2, connect_timeout=3.0, recv_timeout=3.0)
-        t0 = TcpTransport(cfg, 0)
+        t0 = TcpTransport(FlConfig(no_nodes=2, node_id=0, base_port=base, connect_timeout=3.0,
+                                   recv_timeout=3.0))
         late: dict = {}
 
         def bind_late():
             time.sleep(0.3)
-            late["t"] = TcpTransport(cfg, 1)
+            late["t"] = TcpTransport(FlConfig(no_nodes=2, node_id=1, base_port=base,
+                                              connect_timeout=3.0, recv_timeout=3.0))
 
         thread = threading.Thread(target=bind_late)
         thread.start()
@@ -490,9 +492,9 @@ class TestTcpReceivePaths:
     """Inbound paths of the select round: large frames, closes, bad bytes."""
 
     def _node(self, no_nodes=2, recv_timeout=5.0):
-        cfg = TransportConfig(base_port=alloc_base_port(no_nodes), no_nodes=no_nodes,
-                              recv_timeout=recv_timeout, connect_timeout=2.0)
-        return TcpTransport(cfg, 0)
+        return TcpTransport(FlConfig(no_nodes=no_nodes, node_id=0,
+                                     base_port=alloc_base_port(no_nodes),
+                                     recv_timeout=recv_timeout, connect_timeout=2.0))
 
     def test_crossing_large_frames_both_complete(self):
         # each frame is larger than the socket buffers, so neither send can
