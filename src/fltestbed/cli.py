@@ -5,14 +5,15 @@
     fltestbed verify  run an example and check it against its oracle
     fltestbed fuzz    randomized engine-vs-simulator trials
 
-node, launch and verify share their run flags. A fault is a pair, a node
-(--kill-node on verify, --fault-node elsewhere) and --after-phase; a half
-pair or a node out of range exits 1 with one `error:` line before any node
-starts. node runs engine.run_node; launch and verify --mode proc spawn the
-nodes through harness.launch_federation, so both build the same node argv
-and make the same checks a node would before spawning any. Only launch,
-verify and fuzz import harness, so a node process loads the node library
-alone.
+node, launch and verify share their run flags, and each builds one
+examples.ExampleRun from them. Building it makes every check a node would
+make, so a bad run (a half fault pair, a node count without a dataset,
+ports out of range, a timeout that is not positive, --iters 0) exits 1
+with one `error:` line before any node starts. A node calls run.run_node;
+launch and verify --mode proc spawn the nodes through
+harness.launch_federation, and verify --mode inproc runs them on threads.
+Only launch, verify and fuzz import harness, so a node process loads the
+node library alone.
 
 Exit codes: node exits 0 on success, 1 on protocol/config errors, 2 on a
 receive timeout. verify exits 0 only when every node matched the oracle;
@@ -24,9 +25,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS, check_fault, node_config, run_node
+from .engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS
 from .errors import FlError, ProtocolTimeout
-from .examples import dataset_for, effective_fl_srv_id, get_example
+from .examples import ExampleRun
 from .values import dumps
 
 EXIT_OK = 0
@@ -43,7 +44,7 @@ def _add_run_flags(p: argparse.ArgumentParser, fault_flag: str) -> None:
                    help="generate node data from this seed instead of the canonical dataset")
     p.add_argument("--recv-timeout", type=float, default=None, metavar="SECS")
     p.add_argument("--connect-timeout", type=float, default=None, metavar="SECS")
-    p.add_argument(fault_flag, type=int, default=None,
+    p.add_argument(fault_flag, type=int, default=None, dest="fault_node", metavar="NODE",
                    help="node id that crashes itself after --after-phase")
     p.add_argument("--after-phase", choices=FAULT_POINTS, default=None)
 
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     launch = sub.add_parser("launch", help="spawn a federation of node processes")
     _add_run_flags(launch, "--fault-node")
     _add_server_flag(launch)
-    launch.add_argument("--nodes", type=int, default=3, dest="nodes")
+    launch.add_argument("--nodes", type=int, default=3, dest="no_nodes", metavar="N")
     launch.add_argument("--timeout", type=float, default=60.0, metavar="SECS",
                         help="per-node wall-clock budget before survivors are terminated")
     launch.set_defaults(func=cmd_launch)
@@ -79,10 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run an example and compare against the oracle")
     _add_run_flags(verify, "--kill-node")
     verify.add_argument("--mode", required=True, choices=("inproc", "proc"))
-    verify.add_argument("--nodes", type=int, default=3)
+    verify.add_argument("--nodes", type=int, default=3, dest="no_nodes", metavar="N")
     verify.add_argument("--report", default=None, metavar="PATH",
                         help="write the report here instead of stdout")
-    verify.set_defaults(func=cmd_verify)
+    # verify always runs on the example's canonical server
+    verify.set_defaults(func=cmd_verify, fl_srv_id=None)
 
     fuzz = sub.add_parser("fuzz", help="randomized engine-vs-simulator trials")
     fuzz.add_argument("--engine", required=True, choices=(CENTRALIZED, DECENTRALIZED))
@@ -93,18 +95,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _example_run(args) -> ExampleRun:
+    """The run the shared run flags describe, checked before any node starts."""
+    return ExampleRun(args.example, args.no_nodes, args.iters, args.base_port, args.fl_srv_id,
+                      args.seed, args.recv_timeout, args.connect_timeout, args.fault_node,
+                      args.after_phase)
+
+
 def cmd_node(args) -> int:
-    check_fault(args.no_nodes, args.fault_node, args.after_phase)
-    spec = get_example(args.example)
-    fl_srv_id = args.fl_srv_id
-    if fl_srv_id is None:
-        fl_srv_id = effective_fl_srv_id(spec, args.no_nodes)
-    ldata_arr = dataset_for(spec, args.no_nodes, args.seed)
-    cfg = node_config(args.no_nodes, args.node_id, fl_srv_id, args.base_port,
-                      args.recv_timeout, args.connect_timeout)
-    fault = args.after_phase if args.fault_node == args.node_id else None
-    result = run_node(cfg, spec.engine, spec.callbacks, ldata_arr[args.node_id],
-                      no_iters=args.iters, fault_after_phase=fault)
+    result = _example_run(args).run_node(args.node_id)
     print(f"RESULT {args.node_id} {dumps(result)}")
     return EXIT_OK
 
@@ -112,12 +111,7 @@ def cmd_node(args) -> int:
 def cmd_launch(args) -> int:
     from . import harness
 
-    result = harness.launch_federation(
-        args.example, args.nodes, no_iters=args.iters, base_port=args.base_port,
-        fl_srv_id=args.fl_srv_id, seed=args.seed, recv_timeout=args.recv_timeout,
-        connect_timeout=args.connect_timeout, fault_node=args.fault_node,
-        after_phase=args.after_phase, per_node_timeout=args.timeout,
-    )
+    result = harness.launch_federation(_example_run(args), args.timeout)
     for outcome in result.per_node:
         if outcome.stdout:
             sys.stdout.write(outcome.stdout)
@@ -131,18 +125,7 @@ def cmd_launch(args) -> int:
 def cmd_verify(args) -> int:
     from . import harness
 
-    report = harness.run_and_verify(
-        example_id=args.example,
-        mode=args.mode,
-        no_nodes=args.nodes,
-        no_iters=args.iters,
-        base_port=args.base_port,
-        seed=args.seed,
-        kill_node=args.kill_node,
-        after_phase=args.after_phase,
-        recv_timeout=args.recv_timeout,
-        connect_timeout=args.connect_timeout,
-    )
+    report = harness.verify_run(_example_run(args), args.mode)
     text = report.to_text()
     if args.report:
         with open(args.report, "w", encoding="ascii") as f:

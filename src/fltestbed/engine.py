@@ -43,14 +43,6 @@ CENTRALIZED = "cent"
 DECENTRALIZED = "decent"
 
 
-def check_fault(no_nodes: int, node: int | None, point: str | None) -> None:
-    """A fault names both a node in range and a fault point, or neither."""
-    if (node is None) != (point is None):
-        raise ConfigError("the fault node and the fault point must be given together")
-    if node is not None and not (0 <= node < no_nodes):
-        raise ConfigError(f"fault node {node} out of range [0, {no_nodes})")
-
-
 def check_iters(no_iters: int) -> None:
     if no_iters < 1:
         raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
@@ -78,15 +70,6 @@ class FlConfig:
             raise ConfigError(f"port range {self.base_port}..+{self.no_nodes - 1} out of bounds")
         if self.recv_timeout <= 0 or self.connect_timeout <= 0:
             raise ConfigError("timeouts must be positive")
-
-
-def node_config(no_nodes: int, node_id: int, fl_srv_id: int, base_port: int,
-                recv_timeout: float | None = None,
-                connect_timeout: float | None = None) -> FlConfig:
-    """The FlConfig of a node started with these run flags; a None timeout keeps its default."""
-    return FlConfig(no_nodes, node_id, fl_srv_id, base_port,
-                    CONNECT_TIMEOUT if connect_timeout is None else connect_timeout,
-                    RECV_TIMEOUT if recv_timeout is None else recv_timeout)
 
 
 @dataclass(frozen=True)

@@ -15,16 +15,26 @@ single-process programs operation for operation, so on the canonical inputs
 they agree with the generic simulators bit for bit, not just within
 tolerance. sim_centralized / sim_decentralized replay the engine contracts
 for arbitrary callbacks and federation sizes; they define correctness for
-every distributed run.
+every distributed run. ExampleRun is one checked run of an example, the
+run that `fltestbed node`, `launch` and `verify` all build.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .engine import CENTRALIZED, DECENTRALIZED, CallbackPair
+from .engine import (
+    CENTRALIZED,
+    DECENTRALIZED,
+    FAULT_POINTS,
+    CallbackPair,
+    FlConfig,
+    check_iters,
+    run_node,
+)
 from .errors import ConfigError
+from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT
 from .values import Value, is_number
 
 # Data layouts the built-in examples expect: bare numbers or one-element lists.
@@ -85,11 +95,6 @@ class ExampleSpec:
     default_fl_srv_id: int
     engine: str  # CENTRALIZED or DECENTRALIZED
     data_layout: str  # SCALAR or SINGLETON
-
-
-def effective_fl_srv_id(spec: ExampleSpec, no_nodes: int) -> int:
-    """The example's canonical server index, clamped into range for small runs."""
-    return spec.default_fl_srv_id if spec.default_fl_srv_id < no_nodes else no_nodes - 1
 
 
 EXAMPLES: dict[int, ExampleSpec] = {
@@ -184,8 +189,7 @@ def sim_centralized(
     _check_arr(ldata_arr, fl_srv_id)
     if len(pdata_arr) != len(ldata_arr):
         raise ConfigError("pdata_arr and ldata_arr lengths differ")
-    if no_iters < 1:
-        raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
+    check_iters(no_iters)
     state = list(ldata_arr)
     for _ in range(no_iters):
         broadcast = state[fl_srv_id]
@@ -215,8 +219,7 @@ def sim_decentralized(
         raise ConfigError(f"need at least 2 nodes, got {len(ldata_arr)}")
     if len(pdata_arr) != len(ldata_arr):
         raise ConfigError("pdata_arr and ldata_arr lengths differ")
-    if no_iters < 1:
-        raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
+    check_iters(no_iters)
     n = len(ldata_arr)
     state = list(ldata_arr)
     for _ in range(no_iters):
@@ -246,13 +249,82 @@ def generate_ldata(spec: ExampleSpec, no_nodes: int, seed: int) -> list[Value]:
     return [[x] for x in readings]
 
 
-def dataset_for(spec: ExampleSpec, no_nodes: int, seed: int | None) -> list[Value]:
-    """Canonical dataset when seed is None, generated data otherwise."""
-    if seed is None:
-        if no_nodes != len(spec.default_ldata):
+@dataclass(frozen=True)
+class ExampleRun:
+    """One run of a built-in example, checked once for every node of it.
+
+    Building a run makes the checks each node would make: the fault pair,
+    the dataset (the canonical one without a seed, generated data with
+    one), every node's FlConfig (ports and timeouts) and the iteration
+    count. A None server id becomes the example's canonical one, clamped
+    to the last node in smaller federations; a None timeout becomes the
+    transport default. The example is looked up in EXAMPLES when the run
+    is built.
+    """
+
+    example_id: int
+    no_nodes: int
+    no_iters: int = 1
+    base_port: int = 6000
+    fl_srv_id: int | None = None
+    seed: int | None = None
+    recv_timeout: float | None = None
+    connect_timeout: float | None = None
+    fault_node: int | None = None
+    after_phase: str | None = None
+    spec: ExampleSpec = field(init=False, repr=False, compare=False)
+    ldata: tuple[Value, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (self.fault_node is None) != (self.after_phase is None):
+            raise ConfigError("the fault node and the fault point must be given together")
+        if self.fault_node is not None and not (0 <= self.fault_node < self.no_nodes):
+            raise ConfigError(f"fault node {self.fault_node} out of range [0, {self.no_nodes})")
+        if self.after_phase not in (None, *FAULT_POINTS):
+            raise ConfigError(f"fault point must be one of {FAULT_POINTS}, got {self.after_phase!r}")
+        spec = get_example(self.example_id)
+        if self.seed is not None:
+            ldata = generate_ldata(spec, self.no_nodes, self.seed)
+        elif self.no_nodes == len(spec.default_ldata):
+            ldata = spec.default_ldata
+        else:
             raise ConfigError(
                 f"example {spec.example_id} has a canonical {len(spec.default_ldata)}-node "
-                f"dataset; pass a seed to run with {no_nodes} nodes"
+                f"dataset; pass a seed to run with {self.no_nodes} nodes"
             )
-        return list(spec.default_ldata)
-    return generate_ldata(spec, no_nodes, seed)
+        resolved = {
+            "spec": spec,
+            "ldata": tuple(ldata),
+            "fl_srv_id": (min(spec.default_fl_srv_id, self.no_nodes - 1)
+                          if self.fl_srv_id is None else self.fl_srv_id),
+            "recv_timeout": RECV_TIMEOUT if self.recv_timeout is None else self.recv_timeout,
+            "connect_timeout": (CONNECT_TIMEOUT if self.connect_timeout is None
+                                else self.connect_timeout),
+        }
+        for name, value in resolved.items():
+            object.__setattr__(self, name, value)
+        self.config(0)
+        check_iters(self.no_iters)
+
+    def config(self, node_id: int) -> FlConfig:
+        return FlConfig(self.no_nodes, node_id, self.fl_srv_id, self.base_port,
+                        self.connect_timeout, self.recv_timeout)
+
+    def run_node(self, node_id: int, transport=None) -> Value:
+        """Node `node_id`'s share of the run, over TCP unless a transport is given."""
+        fault = self.after_phase if node_id == self.fault_node else None
+        return run_node(self.config(node_id), self.spec.engine, self.spec.callbacks,
+                        self.ldata[node_id], no_iters=self.no_iters, transport=transport,
+                        fault_after_phase=fault)
+
+    def node_flags(self) -> list[str]:
+        """The run flags of `fltestbed node`; the launcher adds each node's
+        --no-nodes, --node-id, --fl-srv-id and --base-port."""
+        flags = ["--example", str(self.example_id), "--iters", str(self.no_iters)]
+        if self.seed is not None:
+            flags += ["--seed", str(self.seed)]
+        flags += ["--recv-timeout", str(self.recv_timeout),
+                  "--connect-timeout", str(self.connect_timeout)]
+        if self.fault_node is not None:
+            flags += ["--fault-node", str(self.fault_node), "--after-phase", self.after_phase]
+        return flags

@@ -1,13 +1,14 @@
 """Verification harness: run an example, compare every node to the oracle.
 
-A run executes one example either in-process (engine threads over the
-loopback hub, each node through engine.run_node) or as real node processes
-spawned by launch_federation, then replays the matching sequential
-simulator on the same inputs and reports per-node agreement at the default
-tolerances. launch_federation is also what `fltestbed launch` runs, so
-both spawn the same node argv. fuzz_verify hammers the engines with
-randomized federations against the simulators; a fixed seed reproduces the
-exact trial sequence.
+A run is an examples.ExampleRun, checked once when it is built. It
+executes either in-process (one thread per node calling run.run_node over
+the loopback hub) or as real node processes spawned by launch_federation,
+each of which builds the same run from its flags and calls the same
+run_node. The harness then replays the matching sequential simulator on
+the same inputs and reports per-node agreement at the default tolerances.
+launch_federation is also what `fltestbed launch` runs. fuzz_verify
+hammers the engines with randomized federations against the simulators; a
+fixed seed reproduces the exact trial sequence.
 """
 
 from __future__ import annotations
@@ -19,33 +20,23 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .engine import (
-    CENTRALIZED,
-    DECENTRALIZED,
-    CallbackPair,
-    FlConfig,
-    check_fault,
-    check_iters,
-    node_config,
-    run_node,
-)
+from .engine import CENTRALIZED, DECENTRALIZED, CallbackPair, FlConfig, run_node
 from .errors import ConfigError, FlError
 from .examples import (
     SCALAR,
     SINGLETON,
-    dataset_for,
-    effective_fl_srv_id,
+    ExampleRun,
     ex1_client,
     ex1_server,
     ex2_client,
     ex2_server,
-    get_example,
     sim_centralized,
     sim_decentralized,
 )
 from .launcher import LaunchResult, LaunchSpec, NodeOutcome, launch_all
-from .transport import RECV_TIMEOUT, LoopbackHub
+from .transport import RECV_TIMEOUT, LoopbackHub, LoopbackTransport
 from .values import Value, approx_eq, dumps, format_number, loads
 
 MODE_INPROC = "inproc"
@@ -124,13 +115,12 @@ def run_federation_inproc(
     pdata_arr: list[Value] | None = None,
     no_iters: int = 1,
     recv_timeout: float = RECV_TIMEOUT,
-    fault: tuple[int, str] | None = None,
 ) -> list[Value | Exception]:
     """Drive one engine per node on threads over a loopback hub.
 
     Returns each node's final data, or the exception that node raised.
     `callbacks` may be a single pair shared by all nodes or one pair per node
-    (used by recording/probing tests). `fault` is (node_id, fault_point).
+    (used by recording/probing tests).
     """
     if pdata_arr is None:
         pdata_arr = [None] * no_nodes
@@ -138,22 +128,23 @@ def run_federation_inproc(
     if len(pairs) != no_nodes or len(ldata_arr) != no_nodes or len(pdata_arr) != no_nodes:
         raise ConfigError("callbacks/ldata/pdata lists must have one entry per node")
 
+    def node(node_id: int, transport) -> Value:
+        cfg = FlConfig(no_nodes, node_id, fl_srv_id, recv_timeout=recv_timeout)
+        return run_node(cfg, engine, pairs[node_id], ldata_arr[node_id], pdata_arr[node_id],
+                        no_iters, transport=transport)
+
+    return _on_threads(no_nodes, no_iters, recv_timeout, node)
+
+
+def _on_threads(no_nodes: int, no_iters: int, recv_timeout: float,
+                node: Callable[[int, LoopbackTransport], Value]) -> list[Value | Exception]:
+    """node(node_id, transport) for every node, each on its own thread over one loopback hub."""
     hub = LoopbackHub(no_nodes, recv_timeout=recv_timeout)
     results: list[Value | Exception] = [None] * no_nodes
 
     def worker(node_id: int) -> None:
-        fault_point = fault[1] if fault is not None and fault[0] == node_id else None
         try:
-            cfg = FlConfig(
-                no_nodes=no_nodes,
-                node_id=node_id,
-                fl_srv_id=fl_srv_id,
-                recv_timeout=recv_timeout,
-            )
-            results[node_id] = run_node(
-                cfg, engine, pairs[node_id], ldata_arr[node_id], pdata_arr[node_id], no_iters,
-                transport=hub.transport(node_id), fault_after_phase=fault_point,
-            )
+            results[node_id] = node(node_id, hub.transport(node_id))
         except Exception as e:
             results[node_id] = e
 
@@ -186,49 +177,18 @@ def _simulate(
     return sim_decentralized(ldata_arr, pdata_arr, callbacks, no_iters)
 
 
-def launch_federation(
-    example_id: int,
-    no_nodes: int,
-    *,
-    no_iters: int = 1,
-    base_port: int = 6000,
-    fl_srv_id: int | None = None,
-    seed: int | None = None,
-    recv_timeout: float | None = None,
-    connect_timeout: float | None = None,
-    fault_node: int | None = None,
-    after_phase: str | None = None,
-    per_node_timeout: float = 60.0,
-) -> LaunchResult:
-    """Run an example as `fltestbed node` processes, one per node.
+def launch_federation(run: ExampleRun, per_node_timeout: float = 60.0) -> LaunchResult:
+    """Run `run` as `fltestbed node` processes, one per node.
 
-    The checks every node would make (fault pair, dataset, config, iteration
-    count) run before any node starts. Without fl_srv_id the example's
-    canonical server is used, clamped for small federations.
+    The run made its checks when it was built, so a bad run fails before
+    any node starts.
     """
-    check_fault(no_nodes, fault_node, after_phase)
-    spec = get_example(example_id)
-    if fl_srv_id is None:
-        fl_srv_id = effective_fl_srv_id(spec, no_nodes)
-    dataset_for(spec, no_nodes, seed)
-    node_config(no_nodes, 0, fl_srv_id, base_port, recv_timeout, connect_timeout)
-    check_iters(no_iters)
-    program = [sys.executable, "-m", "fltestbed", "node", "--example", str(example_id),
-               "--iters", str(no_iters)]
-    if seed is not None:
-        program += ["--seed", str(seed)]
-    if recv_timeout is not None:
-        program += ["--recv-timeout", str(recv_timeout)]
-    if connect_timeout is not None:
-        program += ["--connect-timeout", str(connect_timeout)]
-    if fault_node is not None:
-        program += ["--fault-node", str(fault_node), "--after-phase", after_phase]
     return launch_all(
         LaunchSpec(
-            program=tuple(program),
-            no_nodes=no_nodes,
-            fl_srv_id=fl_srv_id,
-            base_port=base_port,
+            program=(sys.executable, "-m", "fltestbed", "node", *run.node_flags()),
+            no_nodes=run.no_nodes,
+            fl_srv_id=run.fl_srv_id,
+            base_port=run.base_port,
             per_node_timeout=per_node_timeout,
         )
     )
@@ -248,32 +208,34 @@ def run_and_verify(
     per_node_timeout: float = 60.0,
 ) -> RunReport:
     """Execute one example in the requested mode and verify it against its oracle."""
+    run = ExampleRun(example_id, no_nodes, no_iters, base_port, seed=seed,
+                     recv_timeout=recv_timeout, connect_timeout=connect_timeout,
+                     fault_node=kill_node, after_phase=after_phase)
+    return verify_run(run, mode, per_node_timeout)
+
+
+def verify_run(run: ExampleRun, mode: str, per_node_timeout: float = 60.0) -> RunReport:
+    """Execute `run` in the requested mode and verify every node against the oracle.
+
+    In-process, each node is a thread calling run.run_node over a loopback
+    hub; in proc mode each is a `fltestbed node` process that builds the
+    same run from its flags.
+    """
     if mode not in (MODE_INPROC, MODE_PROC):
         raise ConfigError(f"mode must be '{MODE_INPROC}' or '{MODE_PROC}', got {mode!r}")
-    check_fault(no_nodes, kill_node, after_phase)
-    spec = get_example(example_id)
-    ldata_arr = dataset_for(spec, no_nodes, seed)
-    fl_srv_id = effective_fl_srv_id(spec, no_nodes)
-    oracle = _simulate(spec.engine, spec.callbacks, ldata_arr, [None] * no_nodes, fl_srv_id,
-                       no_iters)
+    no_nodes = run.no_nodes
+    oracle = _simulate(run.spec.engine, run.spec.callbacks, run.ldata, [None] * no_nodes,
+                       run.fl_srv_id, run.no_iters)
 
     started = time.monotonic()
     if mode == MODE_INPROC:
-        raw = run_federation_inproc(
-            no_nodes, fl_srv_id, spec.engine, spec.callbacks, ldata_arr, no_iters=no_iters,
-            recv_timeout=recv_timeout if recv_timeout is not None else RECV_TIMEOUT,
-            fault=(kill_node, after_phase) if kill_node is not None else None,
-        )
+        raw = _on_threads(no_nodes, run.no_iters, run.recv_timeout, run.run_node)
         distributed = [
             (None, f"{type(r).__name__}: {r}") if isinstance(r, Exception) else (r, None)
             for r in raw
         ]
     else:
-        launch = launch_federation(
-            example_id, no_nodes, no_iters=no_iters, base_port=base_port, fl_srv_id=fl_srv_id,
-            seed=seed, recv_timeout=recv_timeout, connect_timeout=connect_timeout,
-            fault_node=kill_node, after_phase=after_phase, per_node_timeout=per_node_timeout,
-        )
+        launch = launch_federation(run, per_node_timeout)
         distributed = [_proc_result(launch.outcome(i)) for i in range(no_nodes)]
     wall_time = time.monotonic() - started
 
@@ -291,10 +253,10 @@ def run_and_verify(
             )
         )
     return RunReport(
-        example_id=example_id,
+        example_id=run.example_id,
         mode=mode,
         no_nodes=no_nodes,
-        no_iters=no_iters,
+        no_iters=run.no_iters,
         per_node=per_node,
         overall_match=all(v.match for v in per_node),
         wall_time=wall_time,

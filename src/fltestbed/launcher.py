@@ -94,48 +94,36 @@ def launch_all(spec: LaunchSpec) -> LaunchResult:
         raise LaunchError(f"failed to spawn node {len(procs)}: {e}") from e
 
     deadline = started + spec.per_node_timeout
-    outcomes: list[NodeOutcome | None] = [None] * spec.no_nodes
-    hung: list[int] = []
-
+    outputs: list[tuple[str, str] | None] = [None] * spec.no_nodes
+    ended = [0.0] * spec.no_nodes
     for node_id, proc in enumerate(procs):
-        remaining = deadline - time.monotonic()
         try:
-            stdout, stderr = proc.communicate(timeout=max(0.0, remaining))
+            outputs[node_id] = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             # communicate() raises on an expired deadline even when the
             # process already exited; only a still-running node is hung
             if proc.poll() is None:
-                hung.append(node_id)
                 continue
-            stdout, stderr = proc.communicate()
-        outcomes[node_id] = NodeOutcome(
-            node_id=node_id,
-            exit_code=proc.returncode,
-            stdout=stdout,
-            stderr=stderr,
-            wall_time=time.monotonic() - started,
-        )
+            outputs[node_id] = proc.communicate()
+        ended[node_id] = time.monotonic() - started
 
-    if hung:
-        for node_id in hung:
-            procs[node_id].terminate()
-        grace = time.monotonic() + TERMINATION_GRACE
-        for node_id in hung:
-            try:
-                procs[node_id].wait(timeout=max(0.0, grace - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                procs[node_id].kill()
-        for node_id in hung:
-            stdout, stderr = procs[node_id].communicate()
-            outcomes[node_id] = NodeOutcome(
-                node_id=node_id,
-                exit_code=procs[node_id].returncode,
-                stdout=stdout,
-                stderr=stderr,
-                wall_time=time.monotonic() - started,
-                timed_out=True,
-            )
+    hung = [node_id for node_id, output in enumerate(outputs) if output is None]
+    for node_id in hung:
+        procs[node_id].terminate()
+    grace = time.monotonic() + TERMINATION_GRACE
+    for node_id in hung:
+        try:
+            procs[node_id].wait(timeout=max(0.0, grace - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            procs[node_id].kill()
+    for node_id in hung:
+        outputs[node_id] = procs[node_id].communicate()
+        ended[node_id] = time.monotonic() - started
 
-    per_node = [o for o in outcomes if o is not None]
+    per_node = [
+        NodeOutcome(node_id, proc.returncode, *outputs[node_id], wall_time=ended[node_id],
+                    timed_out=node_id in hung)
+        for node_id, proc in enumerate(procs)
+    ]
     overall = not hung and all(o.exit_code == 0 for o in per_node)
     return LaunchResult(per_node=per_node, overall_success=overall)

@@ -1,8 +1,15 @@
 import itertools
 import os
 import socket
+import sys
 
 import pytest
+
+# Test this checkout's sources, also in the node processes the tests spawn,
+# whatever else is installed.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 _next_slot = itertools.count()
 # Ports handed out stay below Linux's default ephemeral range (32768-60999):

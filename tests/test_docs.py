@@ -1,0 +1,27 @@
+import shlex
+from pathlib import Path
+
+import pytest
+
+from fltestbed.cli import build_parser
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _cli_block_commands() -> list[list[str]]:
+    """Every `fltestbed ...` command of the README's CLI code block, continuations joined."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.startswith("fltestbed ")]
+
+
+def test_readme_cli_commands_parse():
+    commands = _cli_block_commands()
+    assert {argv[1] for argv in commands} == {"node", "launch", "verify", "fuzz"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")

@@ -49,6 +49,17 @@ class TestRunAndVerifyInproc:
         with pytest.raises(ConfigError):
             run_and_verify(2, MODE_INPROC, no_nodes=4)
 
+    @pytest.mark.parametrize("mode", [MODE_INPROC, MODE_PROC])
+    def test_bad_fault_point_fails_before_any_node_starts(self, mode, monkeypatch):
+        from fltestbed import engine, harness
+
+        started = []
+        monkeypatch.setattr(harness, "launch_all", started.append)
+        monkeypatch.setattr(engine, "FlInstance", lambda *a, **k: started.append(a))
+        with pytest.raises(ConfigError, match="fault point must be one of"):
+            run_and_verify(3, mode, kill_node=1, after_phase="bogus")
+        assert started == []
+
     def test_fault_injection_inproc(self):
         report = run_and_verify(3, MODE_INPROC, kill_node=1, after_phase="p1",
                                 recv_timeout=0.5)
@@ -264,6 +275,11 @@ class TestCli:
         (["launch", "--example", "2", "--base-port", "70000"], "port range"),
         (["launch", "--example", "2", "--recv-timeout", "0"], "timeouts must be positive"),
         (["verify", "--example", "3", "--mode", "proc", "--base-port", "70000"], "port range"),
+        (["verify", "--example", "3", "--mode", "inproc", "--recv-timeout", "0"],
+         "timeouts must be positive"),
+        (["verify", "--example", "3", "--mode", "inproc", "--connect-timeout", "0"],
+         "timeouts must be positive"),
+        (["verify", "--example", "3", "--mode", "inproc", "--base-port", "70000"], "port range"),
     ])
     def test_bad_run_fails_before_any_node_starts(self, case, monkeypatch, capsys):
         from fltestbed import cli, engine, harness
