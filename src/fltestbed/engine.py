@@ -25,6 +25,7 @@ of one node: build its instance, run one engine, shut down.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -35,12 +36,20 @@ from .values import Value
 
 # Points at which fault injection may crash a node, named after the send
 # step just completed: centralized server broadcast / client reply,
-# decentralized phase I broadcast / phase II replies.
+# decentralized phase I broadcast / phase II replies. fault_points says
+# which node passes which.
 FAULT_POINTS = ("srv", "cli", "p1", "p2")
 
 # Engine names, as the CLI and the fuzz summary print them.
 CENTRALIZED = "cent"
 DECENTRALIZED = "decent"
+
+
+def fault_points(engine: str, is_server: bool) -> tuple[str, ...]:
+    """The fault points a node passes in every iteration of a run of `engine`."""
+    if engine == DECENTRALIZED:
+        return ("p1", "p2")
+    return ("srv",) if is_server else ("cli",)
 
 
 def check_iters(no_iters: int) -> None:
@@ -84,7 +93,8 @@ class FlInstance:
     """One node's handle on the federation.
 
     Binds the node's port on construction. An instance runs one engine call
-    at a time from a single logical thread; shutdown() releases the port.
+    at a time from a single logical thread; shutdown(), or a run that
+    raises, releases the port.
     """
 
     def __init__(self, cfg: FlConfig, transport=None, fault_after_phase: str | None = None):
@@ -95,11 +105,7 @@ class FlInstance:
         self._running = False
         self._closed = False
         self._lock = threading.Lock()
-        self._transport = transport if transport is not None else TcpTransport(cfg)
-
-    @property
-    def transport(self):
-        return self._transport
+        self.transport = transport if transport is not None else TcpTransport(cfg)
 
     def fl_centralized(
         self,
@@ -112,19 +118,19 @@ class FlInstance:
         check_iters(no_iters)
         cfg = self.cfg
         peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
-        with self._begin_run():
+        with self._begin_run(CENTRALIZED):
             if cfg.node_id == cfg.fl_srv_id:
                 for k in range(no_iters):
-                    self._transport.broadcast(peers, Phase.SRV_DATA, k, ldata)
+                    self.transport.broadcast(peers, Phase.SRV_DATA, k, ldata)
                     self._fault_point("srv")
-                    replies = self._transport.recv_matching(Phase.CLI_DATA, k, peers)
+                    replies = self.transport.recv_matching(Phase.CLI_DATA, k, peers)
                     msgs = [env.payload for env in replies]
                     ldata = self._call_server(callbacks, pdata, msgs, k)
             else:
                 for k in range(no_iters):
-                    (env,) = self._transport.recv_matching(Phase.SRV_DATA, k, (cfg.fl_srv_id,))
+                    (env,) = self.transport.recv_matching(Phase.SRV_DATA, k, (cfg.fl_srv_id,))
                     ldata = self._call_client(callbacks, ldata, pdata, env.payload, k)
-                    self._transport.send(
+                    self.transport.send(
                         Envelope(cfg.node_id, cfg.fl_srv_id, Phase.CLI_DATA, k, ldata)
                     )
                     self._fault_point("cli")
@@ -141,20 +147,20 @@ class FlInstance:
         check_iters(no_iters)
         cfg = self.cfg
         peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
-        with self._begin_run():
+        with self._begin_run(DECENTRALIZED):
             for k in range(no_iters):
                 start = ldata  # phase II replies are computed from this snapshot
-                self._transport.broadcast(peers, Phase.DEC_P1, k, start)
-                broadcasts = self._transport.recv_matching(Phase.DEC_P1, k, peers)
+                self.transport.broadcast(peers, Phase.DEC_P1, k, start)
+                broadcasts = self.transport.recv_matching(Phase.DEC_P1, k, peers)
                 # "after p1" fires once phase I is complete at this node (its
                 # broadcasts sent and every peer's collected), so survivors of
                 # an injected crash always fail on the DEC_P2 exchange
                 self._fault_point("p1")
                 for env in broadcasts:
                     reply = self._call_client(callbacks, start, pdata, env.payload, k)
-                    self._transport.send(Envelope(cfg.node_id, env.src, Phase.DEC_P2, k, reply))
+                    self.transport.send(Envelope(cfg.node_id, env.src, Phase.DEC_P2, k, reply))
                 self._fault_point("p2")
-                replies = self._transport.recv_matching(Phase.DEC_P2, k, peers)
+                replies = self.transport.recv_matching(Phase.DEC_P2, k, peers)
                 ldata = self._call_server(callbacks, pdata, [env.payload for env in replies], k)
             return ldata
 
@@ -166,10 +172,35 @@ class FlInstance:
             if self._closed:
                 return
             self._closed = True
-        self._transport.close()
+        self.transport.close()
 
-    def _begin_run(self):
-        return _RunGuard(self)
+    @contextlib.contextmanager
+    def _begin_run(self, engine: str):
+        """Mark an engine run; a run that raises closes the transport."""
+        cfg, fault = self.cfg, self._fault_after_phase
+        with self._lock:
+            if self._closed:
+                raise UsageError("instance already shut down")
+            if self._running:
+                raise UsageError("an engine run is already in progress on this instance")
+            if fault is not None and fault not in fault_points(engine, cfg.node_id == cfg.fl_srv_id):
+                raise ConfigError(
+                    f"node {cfg.node_id} never reaches fault point {fault} in a {engine} run"
+                )
+            self._running = True
+        try:
+            yield
+        except BaseException:
+            with self._lock:
+                self._running = False
+                close = not self._closed
+                self._closed = True
+            if close:
+                with contextlib.suppress(Exception):
+                    self.transport.close()
+            raise
+        with self._lock:
+            self._running = False
 
     def _call_client(self, callbacks, ldata, pdata, msg, iteration) -> Value:
         try:
@@ -210,33 +241,3 @@ def run_node(
     finally:
         inst.shutdown()
 
-
-class _RunGuard:
-    """Marks an engine run; on error, best-effort shutdown of the transport."""
-
-    def __init__(self, inst: FlInstance):
-        self._inst = inst
-
-    def __enter__(self):
-        with self._inst._lock:
-            if self._inst._closed:
-                raise UsageError("instance already shut down")
-            if self._inst._running:
-                raise UsageError("an engine run is already in progress on this instance")
-            self._inst._running = True
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        with self._inst._lock:
-            self._inst._running = False
-            if exc is not None and not self._inst._closed:
-                self._inst._closed = True
-                close = True
-            else:
-                close = False
-        if close:
-            try:
-                self._inst._transport.close()
-            except Exception:
-                pass
-        return False

@@ -31,15 +31,12 @@ from .engine import (
     CallbackPair,
     FlConfig,
     check_iters,
+    fault_points,
     run_node,
 )
 from .errors import ConfigError
 from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT
 from .values import Value, is_number
-
-# Data layouts the built-in examples expect: bare numbers or one-element lists.
-SCALAR = "scalar"
-SINGLETON = "singleton"
 
 
 def ex1_client(local_data: Value, private_data: Value, msg: Value) -> Value:
@@ -94,7 +91,6 @@ class ExampleSpec:
     default_ldata: tuple[Value, ...]  # canonical 3-node dataset
     default_fl_srv_id: int
     engine: str  # CENTRALIZED or DECENTRALIZED
-    data_layout: str  # SCALAR or SINGLETON
 
 
 EXAMPLES: dict[int, ExampleSpec] = {
@@ -105,7 +101,6 @@ EXAMPLES: dict[int, ExampleSpec] = {
         default_ldata=(68.0, 70.5, 69.5),
         default_fl_srv_id=2,
         engine=CENTRALIZED,
-        data_layout=SCALAR,
     ),
     2: ExampleSpec(
         example_id=2,
@@ -114,7 +109,6 @@ EXAMPLES: dict[int, ExampleSpec] = {
         default_ldata=([1], [2], [3]),
         default_fl_srv_id=0,
         engine=CENTRALIZED,
-        data_layout=SINGLETON,
     ),
     # Example 3 reuses the example-2 callbacks under the decentralized engine.
     3: ExampleSpec(
@@ -124,7 +118,6 @@ EXAMPLES: dict[int, ExampleSpec] = {
         default_ldata=([1], [2], [3]),
         default_fl_srv_id=0,
         engine=DECENTRALIZED,
-        data_layout=SINGLETON,
     ),
 }
 
@@ -234,8 +227,13 @@ def sim_decentralized(
     return state
 
 
+def laid_out_like(sample: Value, readings: list[float]) -> list[Value]:
+    """`readings` in the layout of `sample`: bare numbers, or one-element lists."""
+    return readings if is_number(sample) else [[x] for x in readings]
+
+
 def generate_ldata(spec: ExampleSpec, no_nodes: int, seed: int) -> list[Value]:
-    """Deterministic random dataset in the layout an example expects.
+    """Deterministic random dataset in the layout of the example's canonical one.
 
     Values are uniform in [-1e6, 1e6]; every process that knows (example,
     no_nodes, seed) reproduces the identical dataset.
@@ -244,22 +242,20 @@ def generate_ldata(spec: ExampleSpec, no_nodes: int, seed: int) -> list[Value]:
         raise ConfigError(f"need at least 2 nodes, got {no_nodes}")
     rng = random.Random(seed)
     readings = [rng.uniform(-1e6, 1e6) for _ in range(no_nodes)]
-    if spec.data_layout == SCALAR:
-        return readings
-    return [[x] for x in readings]
+    return laid_out_like(spec.default_ldata[0], readings)
 
 
 @dataclass(frozen=True)
 class ExampleRun:
     """One run of a built-in example, checked once for every node of it.
 
-    Building a run makes the checks each node would make: the fault pair,
-    the dataset (the canonical one without a seed, generated data with
-    one), every node's FlConfig (ports and timeouts) and the iteration
-    count. A None server id becomes the example's canonical one, clamped
-    to the last node in smaller federations; a None timeout becomes the
-    transport default. The example is looked up in EXAMPLES when the run
-    is built.
+    Building a run makes the checks each node would make: the fault pair
+    (a point the fault node passes in the example's engine), the dataset
+    (the canonical one without a seed, generated data with one), every
+    node's FlConfig (ports and timeouts) and the iteration count. A None
+    server id becomes the example's canonical one, clamped to the last
+    node in smaller federations; a None timeout becomes the transport
+    default. The example is looked up in EXAMPLES when the run is built.
     """
 
     example_id: int
@@ -304,6 +300,10 @@ class ExampleRun:
         for name, value in resolved.items():
             object.__setattr__(self, name, value)
         self.config(0)
+        if self.fault_node is not None and self.after_phase not in fault_points(
+                spec.engine, self.fault_node == self.fl_srv_id):
+            raise ConfigError(f"node {self.fault_node} never reaches fault point "
+                              f"{self.after_phase} in a {spec.engine} run")
         check_iters(self.no_iters)
 
     def config(self, node_id: int) -> FlConfig:

@@ -24,17 +24,7 @@ from typing import Callable
 
 from .engine import CENTRALIZED, DECENTRALIZED, CallbackPair, FlConfig, run_node
 from .errors import ConfigError, FlError
-from .examples import (
-    SCALAR,
-    SINGLETON,
-    ExampleRun,
-    ex1_client,
-    ex1_server,
-    ex2_client,
-    ex2_server,
-    sim_centralized,
-    sim_decentralized,
-)
+from .examples import EXAMPLES, ExampleRun, laid_out_like, sim_centralized, sim_decentralized
 from .launcher import LaunchResult, LaunchSpec, NodeOutcome, launch_all
 from .transport import RECV_TIMEOUT, LoopbackHub, LoopbackTransport
 from .values import Value, approx_eq, dumps, format_number, loads
@@ -302,10 +292,11 @@ def _weighted_server(private_data, msgs):
     return [total / weight]
 
 
-_FUZZ_SUITES: list[tuple[str, CallbackPair, str]] = [
-    ("indicator-mean", CallbackPair(ex1_client, ex1_server), SCALAR),
-    ("pairwise-mean", CallbackPair(ex2_client, ex2_server), SINGLETON),
-    ("affine-weighted", CallbackPair(_affine_client, _weighted_server), SINGLETON),
+# (name, callbacks, a value in the layout of their local data)
+_FUZZ_SUITES: list[tuple[str, CallbackPair, Value]] = [
+    ("indicator-mean", EXAMPLES[1].callbacks, EXAMPLES[1].default_ldata[0]),
+    ("pairwise-mean", EXAMPLES[2].callbacks, EXAMPLES[2].default_ldata[0]),
+    ("affine-weighted", CallbackPair(_affine_client, _weighted_server), [0.0]),
 ]
 
 
@@ -382,9 +373,9 @@ def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
         no_nodes = rng.randint(2, 8)
         no_iters = rng.randint(1, 3)
         fl_srv_id = rng.randrange(no_nodes)
-        suite_name, callbacks, layout = _FUZZ_SUITES[rng.randrange(len(_FUZZ_SUITES))]
+        suite_name, callbacks, sample = _FUZZ_SUITES[rng.randrange(len(_FUZZ_SUITES))]
         readings = [rng.uniform(-1e6, 1e6) for _ in range(no_nodes)]
-        ldata_arr: list[Value] = readings if layout == SCALAR else [[x] for x in readings]
+        ldata_arr = laid_out_like(sample, readings)
         pdata_arr: list[Value] = [None] * no_nodes
 
         expected = _simulate(engine, callbacks, ldata_arr, pdata_arr, fl_srv_id, no_iters)

@@ -7,9 +7,11 @@ many body bytes; the body is a text object with keys src, dst, phase,
 iter, payload in that fixed order and no whitespace, payload in canonical
 value form. The decoder accepts only that header and parses the payload
 with values.loads, the parser of RESULT lines, so a hop returns exactly the
-payload that was sent. A receive names its expected senders and takes
-exactly one envelope from each; messages that do not match the (phase,
-iteration) a node is currently waiting for stay buffered, never dropped.
+payload that was sent. A TCP frame that is malformed, or addressed to
+another node, drops its connection and fails the node's receive. A
+receive names its expected senders and takes exactly one envelope from
+each; messages that do not match the (phase, iteration) a node is
+currently waiting for stay buffered, never dropped.
 
 A broadcast encodes its payload once and puts a per-peer header in front
 of the same bytes. The in-process loopback transport shares the same surface
@@ -329,7 +331,11 @@ class TcpTransport(_Transport):
                 break
             try:
                 env = decode_body(bytes(pending[pos + 4:end]))
-            except Exception as e:  # malformed frame: poison pending receives
+                if env.dst != self.node_id:
+                    raise TransportError(
+                        f"frame for node {env.dst} arrived at node {self.node_id}"
+                    )
+            except Exception as e:  # malformed or misaddressed frame: poison pending receives
                 self._drop(conn)
                 self._buffer.fail(e)
                 return

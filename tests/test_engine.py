@@ -12,10 +12,16 @@ from fltestbed.engine import (
     FlInstance,
     run_node,
 )
-from fltestbed.errors import CallbackError, ConfigError, ProtocolTimeout, UsageError
+from fltestbed.errors import (
+    CallbackError,
+    ConfigError,
+    FaultInjected,
+    ProtocolTimeout,
+    UsageError,
+)
 from fltestbed.examples import get_example, sim_centralized, sim_decentralized
 from fltestbed.harness import run_federation_inproc
-from fltestbed.transport import TcpTransport
+from fltestbed.transport import LoopbackHub, Phase, TcpTransport
 from fltestbed.values import approx_eq
 
 from conftest import alloc_base_port
@@ -379,6 +385,51 @@ class TestShutdown:
             inst.shutdown()
         t.join(10.0)
         assert isinstance(done.get("e"), ProtocolTimeout)
+
+
+class TestRunGuard:
+    def test_unreachable_fault_point_rejected_before_any_send(self):
+        # node 0 passes `srv` as the centralized server, never in a decentralized run
+        hub = LoopbackHub(2, recv_timeout=0.3)
+        inst = FlInstance(FlConfig(no_nodes=2, node_id=0), transport=hub.transport(0),
+                          fault_after_phase="srv")
+        peer = hub.transport(1)
+        pair = get_example(2).callbacks
+        with pytest.raises(ConfigError, match="node 0 never reaches fault point srv in a decent"):
+            inst.fl_decentralized(pair, [1])
+        with pytest.raises(ProtocolTimeout):
+            peer.recv_matching(Phase.DEC_P1, 0, (0,))
+        # the instance is neither closed nor busy: a centralized run reaches `srv`
+        with pytest.raises(FaultInjected, match="after phase srv"):
+            inst.fl_centralized(pair, [1])
+        (env,) = peer.recv_matching(Phase.SRV_DATA, 0, (0,))
+        assert env.payload == [1.0]
+
+    def test_run_that_raises_releases_the_port(self):
+        def bad_server(pdata, msgs):
+            raise RuntimeError("boom")
+
+        e2 = get_example(2)
+        base = alloc_base_port(2)
+        cfgs = [FlConfig(no_nodes=2, node_id=i, fl_srv_id=0, base_port=base,
+                         recv_timeout=5.0, connect_timeout=2.0) for i in range(2)]
+        server = FlInstance(cfgs[0])
+        client = {}
+
+        def client_worker():
+            client["r"] = run_node(cfgs[1], CENTRALIZED, e2.callbacks, [2.0])
+
+        t = threading.Thread(target=client_worker, daemon=True)
+        t.start()
+        with pytest.raises(CallbackError, match="boom"):
+            server.fl_centralized(CallbackPair(e2.callbacks.client, bad_server), [1.0])
+        # no shutdown(): the failed run closed the transport itself
+        TcpTransport(cfgs[0]).close()
+        with pytest.raises(UsageError, match="instance already shut down"):
+            server.fl_centralized(e2.callbacks, [1.0])
+        t.join(10.0)
+        assert not t.is_alive()
+        assert client["r"] == [1.5]
 
 
 single_values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)

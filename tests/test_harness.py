@@ -280,6 +280,17 @@ class TestCli:
         (["verify", "--example", "3", "--mode", "inproc", "--connect-timeout", "0"],
          "timeouts must be positive"),
         (["verify", "--example", "3", "--mode", "inproc", "--base-port", "70000"], "port range"),
+        (["verify", "--example", "3", "--mode", "inproc", "--kill-node", "1",
+          "--after-phase", "srv"], "node 1 never reaches fault point srv in a decent run"),
+        (["verify", "--example", "2", "--mode", "inproc", "--kill-node", "0",
+          "--after-phase", "cli"], "node 0 never reaches fault point cli in a cent run"),
+        (["verify", "--example", "2", "--mode", "inproc", "--kill-node", "1",
+          "--after-phase", "srv"], "node 1 never reaches fault point srv in a cent run"),
+        (["verify", "--example", "2", "--mode", "inproc", "--kill-node", "1",
+          "--after-phase", "p1"], "node 1 never reaches fault point p1 in a cent run"),
+        # example 1's canonical server is node 2, clamped to node 1 in a 2-node run
+        (["launch", "--example", "1", "--nodes", "2", "--seed", "1", "--fault-node", "1",
+          "--after-phase", "cli"], "node 1 never reaches fault point cli in a cent run"),
     ])
     def test_bad_run_fails_before_any_node_starts(self, case, monkeypatch, capsys):
         from fltestbed import cli, engine, harness

@@ -547,6 +547,16 @@ class TestTcpReceivePaths:
             peer.close()
             node.close()
 
+    def test_frame_for_another_node_fails_the_receive(self):
+        node = self._node(no_nodes=3)
+        peer = _raw_peer(node.port, encode_frame(Envelope(1, 2, Phase.CLI_DATA, 0, [1.5])))
+        try:
+            with pytest.raises(TransportError, match="frame for node 2 arrived at node 0"):
+                node.recv_matching(Phase.CLI_DATA, 0, (1,))
+        finally:
+            peer.close()
+            node.close()
+
     def test_deeply_nested_frame_fails_with_parse_error(self):
         node = self._node()
         body = (b'{"src":1,"dst":0,"phase":"CLI_DATA","iter":0,"payload":'
