@@ -8,7 +8,8 @@ run_node. The harness then replays the matching sequential simulator on
 the same inputs and reports per-node agreement at the default tolerances.
 launch_federation is also what `fltestbed launch` runs. fuzz_verify
 hammers the engines with randomized federations against the simulators; a
-fixed seed reproduces the exact trial sequence.
+fixed seed reproduces the exact trial sequence, and every trial checks the
+server's sender order through the same oracle comparison.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def run_federation_inproc(
 
     Returns each node's final data, or the exception that node raised.
     `callbacks` may be a single pair shared by all nodes or one pair per node
-    (used by recording/probing tests).
+    (used by recording tests).
     """
     if pdata_arr is None:
         pdata_arr = [None] * no_nodes
@@ -300,11 +301,18 @@ _FUZZ_SUITES: list[tuple[str, CallbackPair, Value]] = [
 ]
 
 
+# Node i replies with its id (its private data), and each server callback
+# keeps the sender order it saw; the oracles give it in ascending node order.
+_SENDER_ORDER = CallbackPair(
+    client=lambda local_data, private_data, msg: [private_data],
+    server=lambda private_data, msgs: [m[0] for m in msgs],
+)
+
+
 @dataclass
 class FuzzSummary:
     engine: str
     trials: int
-    passed: int
     failed: int
     ordering_violations: int
     seed: int
@@ -325,49 +333,44 @@ class FuzzSummary:
         return canonical_text(self.to_mapping())
 
     @property
+    def passed(self) -> int:
+        return self.trials - self.failed
+
+    @property
     def ok(self) -> bool:
-        return self.failed == 0 and self.ordering_violations == 0
+        return self.failed == 0
 
 
-def _ordering_probe(no_nodes: int, fl_srv_id: int, engine: str, no_iters: int) -> list[list[float]]:
-    """Run a federation whose client replies carry the sender's node id.
-
-    Returns, per aggregating node, the id sequence its server callback saw;
-    the caller checks these against the ascending peer lists.
-    """
-    observed: list[list[float]] = [[] for _ in range(no_nodes)]
-
-    def make_pair(node_id: int) -> CallbackPair:
-        def client(local_data, private_data, msg):
-            return [float(private_data)]
-
-        def server(private_data, msgs):
-            observed[node_id] = [m[0] for m in msgs]
-            return [0.0]
-
-        return CallbackPair(client, server)
-
-    pairs = [make_pair(i) for i in range(no_nodes)]
-    ldata_arr: list[Value] = [[float(i)] for i in range(no_nodes)]
-    pdata_arr: list[Value] = [float(i) for i in range(no_nodes)]
-    results = run_federation_inproc(
-        no_nodes, fl_srv_id, engine, pairs, ldata_arr, pdata_arr, no_iters=no_iters
+def _disagreements(engine: str, callbacks: CallbackPair, ldata_arr: list[Value],
+                   pdata_arr: list[Value], fl_srv_id: int, no_iters: int) -> list[str]:
+    """Run a federation in process; one line per node that raised or differs from the oracle."""
+    expected = _simulate(engine, callbacks, ldata_arr, pdata_arr, fl_srv_id, no_iters)
+    actual = run_federation_inproc(
+        len(ldata_arr), fl_srv_id, engine, callbacks, ldata_arr, pdata_arr, no_iters
     )
-    for r in results:
+    problems = []
+    for i, r in enumerate(actual):
         if isinstance(r, Exception):
-            raise r
-    return observed
+            problems.append(f"node {i} raised {type(r).__name__}: {r}")
+        elif not approx_eq(r, expected[i]):
+            problems.append(f"node {i} got {dumps(r)}, oracle {dumps(expected[i])}")
+    return problems
 
 
 def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
-    """Randomized federations through the in-process engine vs. the simulator."""
+    """Randomized federations through the in-process engine vs. the simulator.
+
+    Every trial also runs the sender-order pair on the same federation; a
+    trial whose sender-order run disagrees with its oracle counts as one
+    ordering violation.
+    """
     if engine not in (CENTRALIZED, DECENTRALIZED):
         raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
 
-    passed = failed = ordering_violations = 0
+    ordering_violations = 0
     failures: list[dict] = []
     for trial in range(trials):
         no_nodes = rng.randint(2, 8)
@@ -376,36 +379,16 @@ def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
         suite_name, callbacks, sample = _FUZZ_SUITES[rng.randrange(len(_FUZZ_SUITES))]
         readings = [rng.uniform(-1e6, 1e6) for _ in range(no_nodes)]
         ldata_arr = laid_out_like(sample, readings)
-        pdata_arr: list[Value] = [None] * no_nodes
 
-        expected = _simulate(engine, callbacks, ldata_arr, pdata_arr, fl_srv_id, no_iters)
-        actual = run_federation_inproc(
-            no_nodes, fl_srv_id, engine, callbacks, ldata_arr, pdata_arr, no_iters
-        )
-
-        problems = []
-        for i, r in enumerate(actual):
-            if isinstance(r, Exception):
-                problems.append(f"node {i} raised {type(r).__name__}: {r}")
-            elif not approx_eq(r, expected[i]):
-                problems.append(f"node {i} got {dumps(r)}, oracle {dumps(expected[i])}")
-
-        observed = _ordering_probe(no_nodes, fl_srv_id, engine, no_iters)
-        if engine == CENTRALIZED:
-            want = [float(i) for i in range(no_nodes) if i != fl_srv_id]
-            if observed[fl_srv_id] != want:
-                ordering_violations += 1
-                problems.append(f"server saw order {observed[fl_srv_id]}, want {want}")
-        else:
-            for i in range(no_nodes):
-                want = [float(j) for j in range(no_nodes) if j != i]
-                if observed[i] != want:
-                    ordering_violations += 1
-                    problems.append(f"node {i} saw order {observed[i]}, want {want}")
-                    break
-
+        problems = _disagreements(engine, callbacks, ldata_arr, [None] * no_nodes,
+                                  fl_srv_id, no_iters)
+        ids = [float(i) for i in range(no_nodes)]
+        misordered = _disagreements(engine, _SENDER_ORDER, [[i] for i in ids], ids,
+                                    fl_srv_id, no_iters)
+        if misordered:
+            ordering_violations += 1
+            problems += [f"sender order: {p}" for p in misordered]
         if problems:
-            failed += 1
             failures.append(
                 {
                     "trial": trial,
@@ -417,14 +400,11 @@ def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
                     "problems": problems,
                 }
             )
-        else:
-            passed += 1
 
     return FuzzSummary(
         engine=engine,
         trials=trials,
-        passed=passed,
-        failed=failed,
+        failed=len(failures),
         ordering_violations=ordering_violations,
         seed=seed,
         failures=failures,

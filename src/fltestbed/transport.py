@@ -17,7 +17,9 @@ A broadcast encodes its payload once and puts a per-peer header in front
 of the same bytes. The in-process loopback transport shares the same surface
 and the same serialize/deserialize path: every receiver decodes its own copy
 of the frame, so the two are observationally equivalent and the protocol
-tests run against both.
+tests run against both. On both, a send to a node whose transport is
+closed fails with a TransportError naming the node, the phase and the
+iteration (over TCP, once the sender sees the refused connect or reset).
 """
 
 from __future__ import annotations
@@ -211,7 +213,8 @@ class _Transport:
 
     A handle belongs to one protocol loop: send/broadcast/recv_matching are
     called from a single logical thread. Subclasses supply _deliver, which
-    moves one encoded frame to its destination.
+    moves one encoded frame to its destination or raises OSError or
+    TransportError; _send words either as a failed send.
     """
 
     def __init__(self, node_id: int, no_nodes: int, recv_timeout: float, buffer: _MessageBuffer):
@@ -244,9 +247,15 @@ class _Transport:
                 raise UsageError(f"envelope dst {dst} out of range for {self.no_nodes} nodes")
         text = dumps(payload).encode("ascii")  # validates the payload
         for dst in dsts:
-            self._deliver(dst, phase, iteration, _frame(src, dst, phase, iteration, text))
+            frame = _frame(src, dst, phase, iteration, text)
+            try:
+                self._deliver(dst, frame)
+            except (OSError, TransportError) as e:
+                raise TransportError(
+                    f"send to node {dst} failed ({phase.value} iteration {iteration}): {e}"
+                ) from e
 
-    def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
+    def _deliver(self, dst: int, frame: bytes) -> None:
         raise NotImplementedError
 
     def recv_matching(
@@ -387,16 +396,11 @@ class TcpTransport(_Transport):
             if waiting:
                 self._sel.unregister(sock)
 
-    def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
-        try:
-            sock = self._out.get(dst)
-            if sock is None:
-                sock = self._connect(dst)
-            self._send_all(sock, frame)
-        except (OSError, TransportError) as e:
-            raise TransportError(
-                f"send to node {dst} failed ({phase.value} iteration {iteration}): {e}"
-            ) from e
+    def _deliver(self, dst: int, frame: bytes) -> None:
+        sock = self._out.get(dst)
+        if sock is None:
+            sock = self._connect(dst)
+        self._send_all(sock, frame)
 
     def close(self) -> None:
         if self._closed:
@@ -420,6 +424,7 @@ class LoopbackHub:
         self.no_nodes = no_nodes
         self.recv_timeout = recv_timeout
         self._buffers = [_MessageBuffer() for _ in range(no_nodes)]
+        self._closed: set[int] = set()  # nodes whose transport is closed
 
     def transport(self, node_id: int) -> "LoopbackTransport":
         if not (0 <= node_id < self.no_nodes):
@@ -437,10 +442,13 @@ class LoopbackTransport(_Transport):
         super().__init__(node_id, hub.no_nodes, hub.recv_timeout, hub._buffers[node_id])
         self.hub = hub
 
-    def _deliver(self, dst: int, phase: Phase, iteration: int, frame: bytes) -> None:
+    def _deliver(self, dst: int, frame: bytes) -> None:
+        if dst in self.hub._closed:
+            raise TransportError(f"node {dst} unreachable: its transport is closed")
         # Each receiver decodes its own copy of the frame, with exactly the
         # validation a TCP hop would apply.
         self.hub._buffers[dst].put(decode_frame(frame))
 
     def close(self) -> None:
         self._closed = True
+        self.hub._closed.add(self.node_id)

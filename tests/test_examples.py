@@ -114,6 +114,13 @@ class TestSimulators:
         got = sim_centralized([[10], [20], [30]], [None] * 3, 1, pair, 1)
         assert got[1] == [10]
 
+    def test_decentralized_ordering_visible_to_server(self):
+        # the client replies with its own initial data: node i must aggregate
+        # every other node's, in ascending sender order
+        pair = CallbackPair(client=lambda l, p, m: l, server=lambda p, msgs: msgs)
+        got = sim_decentralized([[10], [20], [30]], [None] * 3, pair, 1)
+        assert got == [[[20], [30]], [[10], [30]], [[10], [20]]]
+
     def test_decentralized_example3(self):
         got = sim_decentralized([[1], [2], [3]], [None] * 3, EXAMPLES[3].callbacks, 1)
         assert got == [[1.75], [2.0], [2.25]]

@@ -6,6 +6,7 @@ import pytest
 
 from fltestbed.engine import CENTRALIZED, DECENTRALIZED
 from fltestbed.errors import ConfigError
+from fltestbed.transport import Phase, _MessageBuffer
 from fltestbed.values import loads
 from fltestbed.harness import (
     MODE_INPROC,
@@ -97,12 +98,13 @@ class TestRunAndVerifyProc:
             assert diag is not None and "1" in diag
         assert any("DEC_P2" in d for d in surviving)
 
-    def test_kill_server_after_broadcast(self, base_port):
+    @pytest.mark.parametrize("mode", [MODE_INPROC, MODE_PROC])
+    def test_kill_server_after_broadcast(self, mode, base_port):
         # centralized srv fault: every client gets the broadcast, then either
         # its reply fails against the dead server (named CLI_DATA error) or
         # lands in the dying server's backlog and the client completes; the
         # run as a whole must fail on the server either way
-        report = run_and_verify(2, MODE_PROC, base_port=base_port, kill_node=0,
+        report = run_and_verify(2, mode, base_port=base_port, kill_node=0,
                                 after_phase="srv", recv_timeout=2.0, connect_timeout=2.0)
         assert not report.overall_match
         assert "fault injection" in report.per_node[0].diagnostic
@@ -156,6 +158,23 @@ class TestFuzz:
     def test_bad_engine_rejected(self):
         with pytest.raises(ConfigError):
             fuzz_verify("bogus", 1, seed=0)
+
+    @pytest.mark.parametrize("engine", [CENTRALIZED, DECENTRALIZED])
+    def test_rotated_replies_are_ordering_violations(self, engine, monkeypatch):
+        # every server callback gets its replies rotated by one sender
+        take = _MessageBuffer.take
+
+        def rotated(self, phase, iteration, senders, timeout):
+            got = take(self, phase, iteration, senders, timeout)
+            if phase in (Phase.CLI_DATA, Phase.DEC_P2):
+                got = got[1:] + got[:1]
+            return got
+
+        monkeypatch.setattr(_MessageBuffer, "take", rotated)
+        summary = fuzz_verify(engine, 10, seed=0)
+        assert summary.ordering_violations > 0
+        assert summary.failed >= summary.ordering_violations
+        assert not summary.ok
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -231,9 +250,8 @@ class TestCli:
     def test_fuzz_cli_summary(self):
         res = run_cli("fuzz", "--engine", "cent", "--trials", "5", "--seed", "1")
         assert res.returncode == 0
-        summary = json.loads(res.stdout)
-        assert summary["passed"] == 5
-        assert summary["failed"] == 0
+        assert res.stdout == ('{"engine":"cent","trials":5,"passed":5,"failed":0,'
+                              '"orderingViolations":0,"seed":1,"failures":[]}\n')
 
     def test_launch_and_verify_build_the_same_node_program(self, monkeypatch):
         from fltestbed import cli, harness

@@ -309,6 +309,18 @@ class TestLoopbackMultiset:
                     [(src, dst, [float(k)]) for src in senders]
 
 
+class TestLoopbackClosedNode:
+    def test_send_to_closed_node_fails(self):
+        # a node whose run raised has closed its transport; as over TCP, a
+        # later send to it fails and names the node, phase and iteration
+        hub = LoopbackHub(2, recv_timeout=1.0)
+        nodes = hub.transports()
+        nodes[0].close()
+        with pytest.raises(TransportError,
+                           match=r"send to node 0 failed \(CLI_DATA iteration 0\)"):
+            nodes[1].send(Envelope(1, 0, Phase.CLI_DATA, 0, [1.0]))
+
+
 class TestBroadcast:
     def test_frames_match_encode_frame(self):
         # peers 1 and 2 are raw sockets, so the test sees the exact wire bytes
