@@ -13,13 +13,18 @@ receive names its expected senders and takes exactly one envelope from
 each; messages that do not match the (phase, iteration) a node is
 currently waiting for stay buffered, never dropped.
 
-A broadcast encodes its payload once and puts a per-peer header in front
-of the same bytes. The in-process loopback transport shares the same surface
-and the same serialize/deserialize path: every receiver decodes its own copy
-of the frame, so the two are observationally equivalent and the protocol
-tests run against both. On both, a send to a node whose transport is
-closed fails with a TransportError naming the node, the phase and the
-iteration (over TCP, once the sender sees the refused connect or reset).
+Both transports share one send path: the route checks, one validation of
+the payload, then one delivery per destination. Only what crosses differs.
+Over TCP a broadcast encodes its payload once and puts a per-peer header in
+front of the same bytes. The in-process loopback transport hands each
+receiver values.canonical_copy of the payload, which equals what a TCP hop
+returns (fresh lists, every number a float) without the text in between.
+No two nodes share a list; floats, being immutable, may be shared. The
+protocol tests run against both transports, but an in-process run does not
+exercise the wire codec: the golden frame, the codec's own tests and every
+TCP or process run do. On both, a send to a node whose transport is closed
+fails with a TransportError naming the node, the phase and the iteration
+(over TCP, once the sender sees the refused connect or reset).
 """
 
 from __future__ import annotations
@@ -37,8 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import ParseError, ProtocolTimeout, TransportError, UsageError
-from .values import Value, dumps, loads
-from .values import validate_value  # noqa: F401  (bound here for perfbench's tracer)
+from .values import Value, canonical_copy, dumps, loads, validate_value
 
 if TYPE_CHECKING:
     from .engine import FlConfig
@@ -66,7 +70,7 @@ def _check_route(src: int, dst: int, phase: Phase, iteration: int) -> None:
 
 @dataclass(frozen=True)
 class Envelope:
-    """Routing record for one message; its payload is checked when it is encoded."""
+    """Routing record for one message; its payload is checked when it is sent or encoded."""
 
     src: int
     dst: int
@@ -212,9 +216,10 @@ class _Transport:
     """Send and receive surface shared by TcpTransport and LoopbackTransport.
 
     A handle belongs to one protocol loop: send/broadcast/recv_matching are
-    called from a single logical thread. Subclasses supply _deliver, which
-    moves one encoded frame to its destination or raises OSError or
-    TransportError; _send words either as a failed send.
+    called from a single logical thread. Subclasses supply _pack, which
+    validates a payload once per send and returns what every destination
+    receives, and _deliver, which moves it to one destination or raises
+    OSError or TransportError; _send words either as a failed send.
     """
 
     def __init__(self, node_id: int, no_nodes: int, recv_timeout: float, buffer: _MessageBuffer):
@@ -228,9 +233,10 @@ class _Transport:
         self._send(env.src, (env.dst,), env.phase, env.iter, env.payload)
 
     def broadcast(self, dsts: Iterable[int], phase: Phase, iteration: int, payload: Value) -> None:
-        """Send one payload to every node in dsts, encoding it once.
+        """Send one payload to every node in dsts, validating it once.
 
-        Each frame is byte-identical to encode_frame of the matching Envelope.
+        Over TCP it is encoded once, and each frame is byte-identical to
+        encode_frame of the matching Envelope.
         """
         self._send(self.node_id, tuple(dsts), phase, iteration, payload)
 
@@ -245,17 +251,19 @@ class _Transport:
             _check_route(src, dst, phase, iteration)
             if not dst < self.no_nodes:
                 raise UsageError(f"envelope dst {dst} out of range for {self.no_nodes} nodes")
-        text = dumps(payload).encode("ascii")  # validates the payload
+        packed = self._pack(payload)  # the one validation of the payload
         for dst in dsts:
-            frame = _frame(src, dst, phase, iteration, text)
             try:
-                self._deliver(dst, frame)
+                self._deliver(dst, phase, iteration, packed)
             except (OSError, TransportError) as e:
                 raise TransportError(
                     f"send to node {dst} failed ({phase.value} iteration {iteration}): {e}"
                 ) from e
 
-    def _deliver(self, dst: int, frame: bytes) -> None:
+    def _pack(self, payload: Value) -> object:
+        raise NotImplementedError
+
+    def _deliver(self, dst: int, phase: Phase, iteration: int, packed: object) -> None:
         raise NotImplementedError
 
     def recv_matching(
@@ -396,11 +404,14 @@ class TcpTransport(_Transport):
             if waiting:
                 self._sel.unregister(sock)
 
-    def _deliver(self, dst: int, frame: bytes) -> None:
+    def _pack(self, payload: Value) -> bytes:
+        return dumps(payload).encode("ascii")  # validates the payload
+
+    def _deliver(self, dst: int, phase: Phase, iteration: int, text: bytes) -> None:
         sock = self._out.get(dst)
         if sock is None:
             sock = self._connect(dst)
-        self._send_all(sock, frame)
+        self._send_all(sock, _frame(self.node_id, dst, phase, iteration, text))
 
     def close(self) -> None:
         if self._closed:
@@ -436,18 +447,25 @@ class LoopbackHub:
 
 
 class LoopbackTransport(_Transport):
-    """Same contract as TcpTransport, delivered through shared queues."""
+    """Same contract as TcpTransport, delivered through shared buffers.
+
+    Each receiver gets its own canonical copy of the payload, the value a
+    TCP hop would return, built without the text in between.
+    """
 
     def __init__(self, hub: LoopbackHub, node_id: int):
         super().__init__(node_id, hub.no_nodes, hub.recv_timeout, hub._buffers[node_id])
         self.hub = hub
 
-    def _deliver(self, dst: int, frame: bytes) -> None:
+    def _pack(self, payload: Value) -> Value:
+        validate_value(payload)
+        return payload
+
+    def _deliver(self, dst: int, phase: Phase, iteration: int, payload: Value) -> None:
         if dst in self.hub._closed:
             raise TransportError(f"node {dst} unreachable: its transport is closed")
-        # Each receiver decodes its own copy of the frame, with exactly the
-        # validation a TCP hop would apply.
-        self.hub._buffers[dst].put(decode_frame(frame))
+        env = Envelope(self.node_id, dst, phase, iteration, canonical_copy(payload))
+        self.hub._buffers[dst].put(env)
 
     def close(self) -> None:
         self._closed = True

@@ -27,6 +27,7 @@ __all__ = [
     "DEFAULT_REL_TOL",
     "DEFAULT_ABS_TOL",
     "approx_eq",
+    "canonical_copy",
     "dumps",
     "format_number",
     "loads",
@@ -41,7 +42,7 @@ def is_number(v: object) -> bool:
 
 def _is_float_list(v: object) -> bool:
     """True for a list whose items are all exactly float: the fast-path shape."""
-    return type(v) is list and all(type(x) is float for x in v)
+    return type(v) is list and {*map(type, v)} <= {float}
 
 
 def _check_floats(v: list[float]) -> None:
@@ -128,6 +129,20 @@ def _write_floats(v: list[float]) -> str:
     return "[" + (text + ",").replace(".0,", ",")[:-1] + "]"
 
 
+def canonical_copy(v: Value) -> Value:
+    """``loads(dumps(v))`` of a valid payload, without the text in between.
+
+    Every list is new and every number is ``float(x)``, so ints come back as
+    floats and -0.0 keeps its sign; only the immutable floats may be shared
+    with ``v``. ``v`` must already have passed validate_value.
+    """
+    if _is_float_list(v):
+        return v[:]
+    if isinstance(v, list):
+        return [canonical_copy(item) for item in v]
+    return None if v is None else float(v)
+
+
 # Every byte the canonical form can contain. Whitespace, strings, objects,
 # true/false, NaN and Infinity all need a byte outside this set.
 _PAYLOAD_BYTES = b"0123456789.-+eE,[]nul"
@@ -188,6 +203,10 @@ def approx_eq(
 
 
 def _approx_eq(a: Value, b: Value, rel_tol: float, abs_tol: float) -> bool:
+    # Equal finite float lists: every pair differs by 0, within any tolerance.
+    # List == also holds for a shared nan or inf item, which the walk rejects.
+    if _is_float_list(a) and _is_float_list(b) and a == b and math.isfinite(sum(a)):
+        return True
     if a is None or b is None:
         return a is None and b is None
     if is_number(a) and is_number(b):

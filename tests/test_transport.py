@@ -7,7 +7,7 @@ import threading
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from fltestbed.engine import FlConfig
 from fltestbed.errors import (
@@ -29,7 +29,7 @@ from fltestbed.transport import (
 from fltestbed.values import dumps, loads
 
 from conftest import alloc_base_port
-from test_values import value_trees
+from test_values import _lists, value_trees
 
 GOLDEN_FRAME = b'\x00\x00\x009{"src":0,"dst":2,"phase":"CLI_DATA","iter":0,"payload":0}'
 
@@ -102,6 +102,30 @@ def test_wire_hop_is_exact(payload):
     got = decode_frame(encode_frame(Envelope(1, 0, Phase.DEC_P2, 2, payload))).payload
     assert dumps(got) == dumps(payload)
     assert all(type(x) is float for x in _leaves(got))
+
+
+@settings(max_examples=300, deadline=None)
+@given(value_trees)
+@example([1, [2**53 + 1, -0.0], 1e16, [[]]])
+def test_loopback_delivery_is_a_canonical_copy(payload):
+    # what a loopback receiver gets is what a TCP hop would give it, and
+    # its lists are its own: floats are the only objects two nodes share
+    hub = LoopbackHub(3, recv_timeout=1.0)
+    nodes = hub.transports()
+    sent = dumps(payload)
+    want = dumps(loads(sent))
+    nodes[0].broadcast([1, 2], Phase.DEC_P1, 0, payload)
+    (a,) = nodes[1].recv_matching(Phase.DEC_P1, 0, (0,))
+    (b,) = nodes[2].recv_matching(Phase.DEC_P1, 0, (0,))
+    for got in (a.payload, b.payload):
+        assert dumps(got) == want
+        assert all(type(x) is float for x in _leaves(got))
+    ids = [{id(x) for x in _lists(v)} for v in (payload, a.payload, b.payload)]
+    assert not ids[0] & ids[1] and not ids[0] & ids[2] and not ids[1] & ids[2]
+    for lst in list(_lists(a.payload)):
+        lst.append(0.5)
+    assert dumps(payload) == sent
+    assert dumps(b.payload) == want
 
 
 class TestEnvelopeInvariants:

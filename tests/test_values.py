@@ -4,7 +4,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fltestbed.errors import ParseError, SerializationError, UsageError
-from fltestbed.values import approx_eq, dumps, format_number, loads, validate_value
+from fltestbed.values import (
+    approx_eq,
+    canonical_copy,
+    dumps,
+    format_number,
+    loads,
+    validate_value,
+)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -200,3 +207,123 @@ class TestFastPathRejections:
     def test_non_finite_hidden_by_cancellation_rejected(self):
         with pytest.raises(SerializationError):
             validate_value([float("inf"), 1.0, float("-inf")])
+
+
+class _Row(list):
+    """A list subclass: a valid payload list that is not exactly list."""
+
+
+def _exact(v):
+    """v with every float spelled by float.hex, so -0.0 and 0.0 differ, and every type named."""
+    if isinstance(v, list):
+        return (type(v).__name__, [_exact(x) for x in v])
+    if v is None:
+        return None
+    return (type(v).__name__, float(v).hex())
+
+
+def _lists(v):
+    if isinstance(v, list):
+        yield v
+        for item in v:
+            yield from _lists(item)
+
+
+_int_leaves = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(2**53, 2**60),
+    st.sampled_from([0, -0.0, 1e16, 2.0**53 + 2, 1e300]),
+    finite,
+)
+_mixed_trees = st.recursive(
+    _int_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(_Row)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(value_trees, _mixed_trees, st.none()))
+@example([1, 2**53, 2**53 + 1, -0.0, 1e16, 12345678901234567890])
+@example(_Row([_Row([1, 2.5]), [-0.0]]))
+@example([0.0, -0.0, 1e16, 1.5e300])
+@example(-0.0)
+@example(7)
+@example([])
+def test_canonical_copy_equals_a_text_round_trip(v):
+    copy = canonical_copy(v)
+    assert _exact(copy) == _exact(loads(dumps(v)))
+    # only floats, which are immutable, may be shared with the original
+    assert not {id(x) for x in _lists(copy)} & {id(x) for x in _lists(v)}
+
+
+_NAN = float("nan")  # one object, so list == treats it as equal to itself
+_compare_leaves = st.one_of(
+    finite,
+    st.integers(-(2**60), 2**60),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, _NAN, 1e308]),
+    st.booleans(),  # not a payload number: True == 1.0, yet approx_eq is False
+)
+
+
+def _approx_walk(a, b, rel_tol, abs_tol):
+    """approx_eq's definition, item by item."""
+    if a is None or b is None:
+        return a is None and b is None
+    def num(v):
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if num(a) and num(b):
+        x, y = float(a), float(b)
+        return abs(x - y) <= max(abs_tol, rel_tol * max(abs(x), abs(y)))
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(
+            _approx_walk(x, y, rel_tol, abs_tol) for x, y in zip(a, b)
+        )
+    return False
+
+
+@st.composite
+def _compare_pairs(draw):
+    a = draw(st.lists(st.one_of(_compare_leaves, st.lists(_compare_leaves, max_size=3)),
+                      max_size=12))
+    how = draw(st.sampled_from(["copy", "ints", "nudge", "shorter", "nest", "other"]))
+    b = list(a)  # shares every item, nan objects included
+    if how == "ints" and b:
+        b = [int(x) if isinstance(x, float) and math.isfinite(x) and x.is_integer() else x
+             for x in b]
+    elif how == "nudge" and b:
+        i = draw(st.integers(0, len(b) - 1))
+        if isinstance(b[i], (int, float)):
+            b[i] = b[i] + draw(st.sampled_from([1e-13, 1e-6, 1.0]))
+    elif how == "shorter" and b:
+        b = b[:-1]
+    elif how == "nest" and b:
+        b[0] = [b[0]]
+    elif how == "other":
+        b = draw(st.lists(_compare_leaves, max_size=12))
+    return a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(_compare_pairs(), st.sampled_from([(1e-9, 1e-12), (0.0, 0.0), (0.5, 0.0)]))
+@example(([_NAN], [_NAN]), (1e-9, 1e-12))
+@example(([1.0, math.inf], [1.0, math.inf]), (1e-9, 1e-12))
+@example(([1e308, 1e308], [1e308, 1e308]), (0.0, 0.0))
+@example(([-0.0, 1.0], [0.0, 1]), (0.0, 0.0))
+@example(([[1.0]], [1.0]), (1e-9, 1e-12))
+@example(([1.0, 0.0], [True, False]), (1e-9, 1e-12))
+@example(([1.0, 2.0], [1.0]), (1e-9, 1e-12))
+def test_approx_eq_matches_the_item_walk(pair, tols):
+    a, b = pair
+    want = _approx_walk(a, b, *tols)
+    assert approx_eq(a, b, *tols) is want
+    assert approx_eq(b, a, *tols) is _approx_walk(b, a, *tols)
+    assert approx_eq([a, b], [b, a], *tols) is (want and _approx_walk(b, a, *tols))
+
+
+def test_approx_eq_equal_lists_with_non_finite_items_stay_false():
+    for item in (_NAN, math.inf, -math.inf):
+        v = [1.0, item]
+        assert v == list(v)
+        assert not approx_eq(v, list(v))
