@@ -17,12 +17,14 @@ Both transports share one send path: the route checks, one validation of
 the payload, then one delivery per destination. Only what crosses differs.
 Over TCP a broadcast encodes its payload once and puts a per-peer header in
 front of the same bytes. The in-process loopback transport hands each
-receiver values.canonical_copy of the payload, which equals what a TCP hop
+receiver a canonical copy of the payload, which equals what a TCP hop
 returns (fresh lists, every number a float) without the text in between.
-No two nodes share a list; floats, being immutable, may be shared. The
-protocol tests run against both transports, but an in-process run does not
-exercise the wire codec: the golden frame, the codec's own tests and every
-TCP or process run do. On both, a send to a node whose transport is closed
+The send-time validation also picks how that copy is made: a flat list
+of floats costs one list copy per receiver, any other payload goes
+through values.canonical_copy. No two nodes share a list; floats, being
+immutable, may be shared. The protocol tests run against both
+transports, but an in-process run does not exercise the wire codec: the
+golden frame, the codec's own tests and every TCP or process run do. On both, a send to a node whose transport is closed
 fails with a TransportError naming the node, the phase and the iteration
 (over TCP, once the sender sees the refused connect or reset).
 """
@@ -30,6 +32,7 @@ fails with a TransportError naming the node, the phase and the iteration
 from __future__ import annotations
 
 import enum
+import functools
 import re
 import selectors
 import socket
@@ -218,8 +221,10 @@ class _Transport:
     A handle belongs to one protocol loop: send/broadcast/recv_matching are
     called from a single logical thread. Subclasses supply _pack, which
     validates a payload once per send and returns what every destination
-    receives, and _deliver, which moves it to one destination or raises
-    OSError or TransportError; _send words either as a failed send.
+    is handed: over TCP the canonical text; on loopback a copier that the
+    same validation picked, so a flat float list costs one list copy per
+    receiver. _deliver moves it to one destination or raises OSError or
+    TransportError; _send words either as a failed send.
     """
 
     def __init__(self, node_id: int, no_nodes: int, recv_timeout: float, buffer: _MessageBuffer):
@@ -450,22 +455,24 @@ class LoopbackTransport(_Transport):
     """Same contract as TcpTransport, delivered through shared buffers.
 
     Each receiver gets its own canonical copy of the payload, the value a
-    TCP hop would return, built without the text in between.
+    TCP hop would return, built without the text in between. For a list of
+    exact floats, which validation has just scanned, that copy is the
+    list's own copy method.
     """
 
     def __init__(self, hub: LoopbackHub, node_id: int):
         super().__init__(node_id, hub.no_nodes, hub.recv_timeout, hub._buffers[node_id])
         self.hub = hub
 
-    def _pack(self, payload: Value) -> Value:
-        validate_value(payload)
-        return payload
+    def _pack(self, payload: Value) -> Callable[[], Value]:
+        if validate_value(payload):
+            return payload.copy
+        return functools.partial(canonical_copy, payload)
 
-    def _deliver(self, dst: int, phase: Phase, iteration: int, payload: Value) -> None:
+    def _deliver(self, dst: int, phase: Phase, iteration: int, copy: Callable[[], Value]) -> None:
         if dst in self.hub._closed:
             raise TransportError(f"node {dst} unreachable: its transport is closed")
-        env = Envelope(self.node_id, dst, phase, iteration, canonical_copy(payload))
-        self.hub._buffers[dst].put(env)
+        self.hub._buffers[dst].put(Envelope(self.node_id, dst, phase, iteration, copy()))
 
     def close(self) -> None:
         self._closed = True

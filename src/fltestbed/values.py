@@ -10,8 +10,10 @@ message, RESULT line, and report embeds payloads in exactly this form.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from typing import TypeAlias, Union
 
 from .errors import ParseError, SerializationError, UsageError
@@ -42,7 +44,7 @@ def is_number(v: object) -> bool:
 
 def _is_float_list(v: object) -> bool:
     """True for a list whose items are all exactly float: the fast-path shape."""
-    return type(v) is list and {*map(type, v)} <= {float}
+    return type(v) is list and operator.countOf(map(type, v), float) == len(v)
 
 
 def _check_floats(v: list[float]) -> None:
@@ -55,15 +57,20 @@ def _check_floats(v: list[float]) -> None:
                 raise SerializationError(f"non-finite number in payload: {x!r}")
 
 
-def validate_value(v: Value, _top: bool = True) -> None:
-    """Raise SerializationError unless ``v`` is a well-formed payload."""
+def validate_value(v: Value, _top: bool = True) -> bool:
+    """Raise SerializationError unless ``v`` is a well-formed payload.
+
+    Returns the shape its first check found: True for a list whose items
+    are all exactly float (the empty list too), False for any other valid
+    payload, so a caller can pick the flat-list path without a second scan.
+    """
     if _is_float_list(v):
         _check_floats(v)
-        return
+        return True
     if v is None:
         if not _top:
             raise SerializationError("absent payload (None) is not allowed inside a sequence")
-        return
+        return False
     if is_number(v):
         if isinstance(v, float):
             if not math.isfinite(v):
@@ -73,11 +80,11 @@ def validate_value(v: Value, _top: bool = True) -> None:
                 float(v)
             except OverflowError:
                 raise SerializationError(f"integer too large for double precision: {v}") from None
-        return
+        return False
     if isinstance(v, list):
         for item in v:
             validate_value(item, _top=False)
-        return
+        return False
     raise SerializationError(f"unsupported payload element of type {type(v).__name__}")
 
 
@@ -101,7 +108,8 @@ def format_number(x: float | int) -> str:
 
 def dumps(v: Value) -> str:
     """Canonical text for a payload; deterministic for equal payloads."""
-    validate_value(v)
+    if validate_value(v):
+        return _write_floats(v)
     return _write(v)
 
 
@@ -197,16 +205,22 @@ def approx_eq(
     pair (x, y) satisfies |x - y| <= max(abs_tol, rel_tol * max(|x|, |y|)).
     Shape mismatch is False, never an error.
     """
-    if rel_tol < 0 or abs_tol < 0:
+    if not (rel_tol >= 0 and abs_tol >= 0):  # nan too: isclose and the walk disagree on it
         raise UsageError(f"tolerances must be non-negative, got rel={rel_tol} abs={abs_tol}")
     return _approx_eq(a, b, rel_tol, abs_tol)
 
 
 def _approx_eq(a: Value, b: Value, rel_tol: float, abs_tol: float) -> bool:
-    # Equal finite float lists: every pair differs by 0, within any tolerance.
+    # Float lists whose sums are finite hold only finite items. Equal ones
+    # differ by 0 in every pair, within any tolerance; for the others
+    # math.isclose computes approx_eq's own formula, pair by pair in C.
     # List == also holds for a shared nan or inf item, which the walk rejects.
-    if _is_float_list(a) and _is_float_list(b) and a == b and math.isfinite(sum(a)):
-        return True
+    if _is_float_list(a) and _is_float_list(b) and len(a) == len(b) and math.isfinite(sum(a)):
+        if a == b:
+            return True
+        if math.isfinite(sum(b)):
+            close = functools.partial(math.isclose, rel_tol=rel_tol, abs_tol=abs_tol)
+            return all(map(close, a, b))
     if a is None or b is None:
         return a is None and b is None
     if is_number(a) and is_number(b):

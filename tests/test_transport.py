@@ -9,6 +9,7 @@ import time
 import pytest
 from hypothesis import example, given, settings
 
+from fltestbed import values
 from fltestbed.engine import FlConfig
 from fltestbed.errors import (
     ConfigError,
@@ -29,7 +30,7 @@ from fltestbed.transport import (
 from fltestbed.values import dumps, loads
 
 from conftest import alloc_base_port
-from test_values import _lists, value_trees
+from test_values import _exact, _lists, value_trees
 
 GOLDEN_FRAME = b'\x00\x00\x009{"src":0,"dst":2,"phase":"CLI_DATA","iter":0,"payload":0}'
 
@@ -126,6 +127,25 @@ def test_loopback_delivery_is_a_canonical_copy(payload):
         lst.append(0.5)
     assert dumps(payload) == sent
     assert dumps(b.payload) == want
+
+
+def test_loopback_broadcast_scans_a_flat_payload_once(monkeypatch):
+    # the send-time validation's scan also picks the copy: no receiver rescans
+    scans = []
+    scan = values._is_float_list
+    monkeypatch.setattr(values, "_is_float_list", lambda v: scans.append(v) or scan(v))
+    nodes = LoopbackHub(4, recv_timeout=1.0).transports()
+    payload = [i / 7 for i in range(1000)]
+    nodes[0].broadcast([1, 2, 3], Phase.DEC_P1, 0, payload)
+    assert len(scans) == 1
+    got = [nodes[i].recv_matching(Phase.DEC_P1, 0, (0,))[0].payload for i in (1, 2, 3)]
+    assert all(g == payload for g in got)
+    assert len({id(payload), *map(id, got)}) == 4
+    nested = [[1, -0.0], [2.5, 2**53 + 1], []]
+    nodes[0].broadcast([1, 2, 3], Phase.DEC_P1, 1, nested)
+    for i in (1, 2, 3):
+        (env,) = nodes[i].recv_matching(Phase.DEC_P1, 1, (0,))
+        assert _exact(env.payload) == _exact(loads(dumps(nested)))
 
 
 class TestEnvelopeInvariants:

@@ -124,6 +124,8 @@ class TestApproxEq:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(UsageError):
             approx_eq(1.0, 1.0, -1.0, 0.0)
+        with pytest.raises(UsageError):
+            approx_eq([1.0], [1.0], 0.0, math.nan)
 
 
 @settings(max_examples=300, deadline=None)
@@ -257,6 +259,55 @@ def test_canonical_copy_equals_a_text_round_trip(v):
     assert not {id(x) for x in _lists(copy)} & {id(x) for x in _lists(v)}
 
 
+class _Float(float):
+    """A float subclass: a valid payload number that is not exactly float."""
+
+
+def _valid(v, top=True):
+    """The payload grammar, item by item: what validate_value accepts."""
+    if v is None:
+        return top
+    if isinstance(v, list):
+        return all(_valid(x, False) for x in v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the double range
+        return False
+
+
+_any_trees = st.recursive(
+    st.one_of(
+        _int_leaves,
+        st.floats().map(_Float),
+        st.sampled_from([math.nan, math.inf, -math.inf, True, None, "1", 2**1100]),
+    ),
+    lambda inner: st.one_of(st.lists(inner, max_size=6), st.lists(inner, max_size=6).map(_Row)),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(value_trees, _mixed_trees, st.none(), _any_trees))
+@example([])
+@example([1.0, -0.0, 1e16])
+@example([1.0, 2])
+@example([_Float(1.0)])
+@example(_Row([1.0]))
+@example([[1.0]])
+@example([1.0, True])
+@example([1e308, 1e308])
+@example([1.0, math.inf, -math.inf])
+def test_validate_value_returns_the_flat_float_verdict(v):
+    if not _valid(v):
+        with pytest.raises(SerializationError):
+            validate_value(v)
+        return
+    flat = type(v) is list and all(type(x) is float for x in v)
+    assert validate_value(v) is flat
+
+
 _NAN = float("nan")  # one object, so list == treats it as equal to itself
 _compare_leaves = st.one_of(
     finite,
@@ -283,13 +334,22 @@ def _approx_walk(a, b, rel_tol, abs_tol):
     return False
 
 
+_near_steps = st.sampled_from([0.0, 1e-10, 9e-10, 1.1e-9, 1e-6, 0.49, 0.51])
+_near_offsets = st.sampled_from([0.0, 5e-13, 2e-12])
+
+
 @st.composite
 def _compare_pairs(draw):
     a = draw(st.lists(st.one_of(_compare_leaves, st.lists(_compare_leaves, max_size=3)),
                       max_size=12))
-    how = draw(st.sampled_from(["copy", "ints", "nudge", "shorter", "nest", "other"]))
+    how = draw(st.sampled_from(["copy", "ints", "nudge", "near", "shorter", "nest", "other"]))
     b = list(a)  # shares every item, nan objects included
-    if how == "ints" and b:
+    if how == "near":
+        # float lists on both sides of every tolerance the test uses, some
+        # pushed past the double range
+        a = draw(st.lists(st.one_of(finite, st.just(1e308)), min_size=1, max_size=12))
+        b = [x * (1 + draw(_near_steps)) + draw(_near_offsets) for x in a]
+    elif how == "ints" and b:
         b = [int(x) if isinstance(x, float) and math.isfinite(x) and x.is_integer() else x
              for x in b]
     elif how == "nudge" and b:
@@ -314,6 +374,12 @@ def _compare_pairs(draw):
 @example(([[1.0]], [1.0]), (1e-9, 1e-12))
 @example(([1.0, 0.0], [True, False]), (1e-9, 1e-12))
 @example(([1.0, 2.0], [1.0]), (1e-9, 1e-12))
+@example(([1.0, 2.0], [1.0 + 9e-10, 2.0]), (1e-9, 1e-12))
+@example(([1.0, 2.0], [1.0 + 2e-9, 2.0]), (1e-9, 1e-12))
+@example(([0.0, 1.0], [1e-12, 1.0]), (0.0, 1e-12))
+@example(([1e308, 1.0], [1.7e308, 1.0]), (0.5, 0.0))
+@example(([1e308, 1e308], [1e308, 1.7e308]), (0.5, 0.0))
+@example(([1e308, 1.0], [math.inf, 1.0]), (0.5, 0.0))
 def test_approx_eq_matches_the_item_walk(pair, tols):
     a, b = pair
     want = _approx_walk(a, b, *tols)
