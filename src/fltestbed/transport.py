@@ -20,13 +20,14 @@ front of the same bytes. The in-process loopback transport hands each
 receiver a canonical copy of the payload, which equals what a TCP hop
 returns (fresh lists, every number a float) without the text in between.
 The send-time validation also picks how that copy is made: a flat list
-of floats costs one list copy per receiver, any other payload goes
+of exact floats costs one list copy per receiver, any other payload goes
 through values.canonical_copy. No two nodes share a list; floats, being
-immutable, may be shared. The protocol tests run against both
-transports, but an in-process run does not exercise the wire codec: the
-golden frame, the codec's own tests and every TCP or process run do. On both, a send to a node whose transport is closed
-fails with a TransportError naming the node, the phase and the iteration
-(over TCP, once the sender sees the refused connect or reset).
+immutable, may be shared. The protocol tests run against both transports,
+but an in-process run does not exercise the wire codec: the golden frame,
+the codec's own tests and every TCP or process run do. On both, a send to
+a node whose transport is closed fails with a TransportError naming the
+node, the phase and the iteration (over TCP, once the sender sees the
+refused connect or reset).
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ message, RESULT line, and report embeds payloads in exactly this form.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -205,22 +204,16 @@ def approx_eq(
     pair (x, y) satisfies |x - y| <= max(abs_tol, rel_tol * max(|x|, |y|)).
     Shape mismatch is False, never an error.
     """
-    if not (rel_tol >= 0 and abs_tol >= 0):  # nan too: isclose and the walk disagree on it
+    if rel_tol < 0 or abs_tol < 0:
         raise UsageError(f"tolerances must be non-negative, got rel={rel_tol} abs={abs_tol}")
     return _approx_eq(a, b, rel_tol, abs_tol)
 
 
 def _approx_eq(a: Value, b: Value, rel_tol: float, abs_tol: float) -> bool:
-    # Float lists whose sums are finite hold only finite items. Equal ones
-    # differ by 0 in every pair, within any tolerance; for the others
-    # math.isclose computes approx_eq's own formula, pair by pair in C.
+    # Equal finite float lists: every pair differs by 0, within any tolerance.
     # List == also holds for a shared nan or inf item, which the walk rejects.
-    if _is_float_list(a) and _is_float_list(b) and len(a) == len(b) and math.isfinite(sum(a)):
-        if a == b:
-            return True
-        if math.isfinite(sum(b)):
-            close = functools.partial(math.isclose, rel_tol=rel_tol, abs_tol=abs_tol)
-            return all(map(close, a, b))
+    if _is_float_list(a) and _is_float_list(b) and a == b and math.isfinite(sum(a)):
+        return True
     if a is None or b is None:
         return a is None and b is None
     if is_number(a) and is_number(b):
