@@ -6,11 +6,11 @@
     fltestbed fuzz    randomized engine-vs-simulator trials
 
 node, launch and verify share their run flags, and each builds one
-examples.ExampleRun from them. Building it makes every check a node would
-make, so a bad run (a half fault pair, a node count without a dataset,
-ports out of range, a timeout that is not positive, --iters 0) exits 1
-with one `error:` line before any node starts. A node calls run.run_node;
-launch and verify --mode proc spawn the nodes through
+examples.Run from them with examples.example_run. Building it makes every
+check a node would make, so a bad run (a half fault pair, a node count
+without a dataset, ports out of range, a timeout that is not positive,
+--iters 0) exits 1 with one `error:` line before any node starts. A node
+calls run.run_node; launch and verify --mode proc spawn the nodes through
 harness.launch_federation, and verify --mode inproc runs them on threads.
 Only launch, verify and fuzz import harness, so a node process loads the
 node library alone.
@@ -27,7 +27,7 @@ import sys
 
 from .engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS
 from .errors import FlError, ProtocolTimeout
-from .examples import ExampleRun
+from .examples import Run, example_run
 from .values import dumps
 
 EXIT_OK = 0
@@ -95,11 +95,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _example_run(args) -> ExampleRun:
+def _example_run(args) -> Run:
     """The run the shared run flags describe, checked before any node starts."""
-    return ExampleRun(args.example, args.no_nodes, args.iters, args.base_port, args.fl_srv_id,
-                      args.seed, args.recv_timeout, args.connect_timeout, args.fault_node,
-                      args.after_phase)
+    return example_run(args.example, args.no_nodes, args.iters, args.base_port, args.fl_srv_id,
+                       args.seed, args.recv_timeout, args.connect_timeout, args.fault_node,
+                       args.after_phase)
 
 
 def cmd_node(args) -> int:

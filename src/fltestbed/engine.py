@@ -52,6 +52,11 @@ def fault_points(engine: str, is_server: bool) -> tuple[str, ...]:
     return ("srv",) if is_server else ("cli",)
 
 
+def check_engine(engine: str) -> None:
+    if engine not in (CENTRALIZED, DECENTRALIZED):
+        raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
+
+
 def check_iters(no_iters: int) -> None:
     if no_iters < 1:
         raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
@@ -232,8 +237,7 @@ def run_node(
     fault_after_phase: str | None = None,
 ) -> Value:
     """One node's share of a federation on `engine`; the port is released on return."""
-    if engine not in (CENTRALIZED, DECENTRALIZED):
-        raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
+    check_engine(engine)
     inst = FlInstance(cfg, transport=transport, fault_after_phase=fault_after_phase)
     try:
         run = inst.fl_centralized if engine == CENTRALIZED else inst.fl_decentralized

@@ -15,14 +15,16 @@ single-process programs operation for operation, so on the canonical inputs
 they agree with the generic simulators bit for bit, not just within
 tolerance. sim_centralized / sim_decentralized replay the engine contracts
 for arbitrary callbacks and federation sizes; they define correctness for
-every distributed run. ExampleRun is one checked run of an example, the
-run that `fltestbed node`, `launch` and `verify` all build.
+every distributed run. A Run is one checked run of any callback pair;
+example_run builds the Run of a built-in example, the run that
+`fltestbed node`, `launch` and `verify` all build.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from .engine import (
     CENTRALIZED,
@@ -30,6 +32,7 @@ from .engine import (
     FAULT_POINTS,
     CallbackPair,
     FlConfig,
+    check_engine,
     check_iters,
     fault_points,
     run_node,
@@ -246,65 +249,51 @@ def generate_ldata(spec: ExampleSpec, no_nodes: int, seed: int) -> list[Value]:
 
 
 @dataclass(frozen=True)
-class ExampleRun:
-    """One run of a built-in example, checked once for every node of it.
+class Run:
+    """One run of any callback pair over len(ldata) nodes, checked once for all of them.
 
-    Building a run makes the checks each node would make: the fault pair
-    (a point the fault node passes in the example's engine), the dataset
-    (the canonical one without a seed, generated data with one), every
-    node's FlConfig (ports and timeouts) and the iteration count. A None
-    server id becomes the example's canonical one, clamped to the last
-    node in smaller federations; a None timeout becomes the transport
-    default. The example is looked up in EXAMPLES when the run is built.
+    Building a run makes the checks each node would make: the engine, the
+    fault pair (a point the fault node passes in that engine), one pdata
+    entry per node (None for all without pdata), every node's FlConfig and
+    the iteration count. example_id and seed are for node_flags only.
     """
 
-    example_id: int
-    no_nodes: int
+    engine: str
+    callbacks: CallbackPair
+    ldata: Sequence[Value]
+    pdata: Sequence[Value] | None = None
     no_iters: int = 1
     base_port: int = 6000
-    fl_srv_id: int | None = None
-    seed: int | None = None
-    recv_timeout: float | None = None
-    connect_timeout: float | None = None
+    fl_srv_id: int = 0
+    recv_timeout: float = RECV_TIMEOUT
+    connect_timeout: float = CONNECT_TIMEOUT
     fault_node: int | None = None
     after_phase: str | None = None
-    spec: ExampleSpec = field(init=False, repr=False, compare=False)
-    ldata: tuple[Value, ...] = field(init=False, repr=False, compare=False)
+    example_id: int | None = None
+    seed: int | None = None
 
     def __post_init__(self):
+        check_engine(self.engine)
         if (self.fault_node is None) != (self.after_phase is None):
             raise ConfigError("the fault node and the fault point must be given together")
         if self.fault_node is not None and not (0 <= self.fault_node < self.no_nodes):
             raise ConfigError(f"fault node {self.fault_node} out of range [0, {self.no_nodes})")
         if self.after_phase not in (None, *FAULT_POINTS):
             raise ConfigError(f"fault point must be one of {FAULT_POINTS}, got {self.after_phase!r}")
-        spec = get_example(self.example_id)
-        if self.seed is not None:
-            ldata = generate_ldata(spec, self.no_nodes, self.seed)
-        elif self.no_nodes == len(spec.default_ldata):
-            ldata = spec.default_ldata
-        else:
-            raise ConfigError(
-                f"example {spec.example_id} has a canonical {len(spec.default_ldata)}-node "
-                f"dataset; pass a seed to run with {self.no_nodes} nodes"
-            )
-        resolved = {
-            "spec": spec,
-            "ldata": tuple(ldata),
-            "fl_srv_id": (min(spec.default_fl_srv_id, self.no_nodes - 1)
-                          if self.fl_srv_id is None else self.fl_srv_id),
-            "recv_timeout": RECV_TIMEOUT if self.recv_timeout is None else self.recv_timeout,
-            "connect_timeout": (CONNECT_TIMEOUT if self.connect_timeout is None
-                                else self.connect_timeout),
-        }
-        for name, value in resolved.items():
-            object.__setattr__(self, name, value)
+        if self.pdata is None:
+            object.__setattr__(self, "pdata", (None,) * self.no_nodes)
+        elif len(self.pdata) != self.no_nodes:
+            raise ConfigError(f"{len(self.pdata)} pdata entries for {self.no_nodes} nodes")
         self.config(0)
         if self.fault_node is not None and self.after_phase not in fault_points(
-                spec.engine, self.fault_node == self.fl_srv_id):
+                self.engine, self.fault_node == self.fl_srv_id):
             raise ConfigError(f"node {self.fault_node} never reaches fault point "
-                              f"{self.after_phase} in a {spec.engine} run")
+                              f"{self.after_phase} in a {self.engine} run")
         check_iters(self.no_iters)
+
+    @property
+    def no_nodes(self) -> int:
+        return len(self.ldata)
 
     def config(self, node_id: int) -> FlConfig:
         return FlConfig(self.no_nodes, node_id, self.fl_srv_id, self.base_port,
@@ -313,13 +302,15 @@ class ExampleRun:
     def run_node(self, node_id: int, transport=None) -> Value:
         """Node `node_id`'s share of the run, over TCP unless a transport is given."""
         fault = self.after_phase if node_id == self.fault_node else None
-        return run_node(self.config(node_id), self.spec.engine, self.spec.callbacks,
-                        self.ldata[node_id], no_iters=self.no_iters, transport=transport,
-                        fault_after_phase=fault)
+        return run_node(self.config(node_id), self.engine, self.callbacks, self.ldata[node_id],
+                        self.pdata[node_id], self.no_iters, transport, fault)
 
     def node_flags(self) -> list[str]:
         """The run flags of `fltestbed node`; the launcher adds each node's
-        --no-nodes, --node-id, --fl-srv-id and --base-port."""
+        --no-nodes, --node-id, --fl-srv-id and --base-port. A node process
+        can rebuild only a run of a built-in example."""
+        if self.example_id is None:
+            raise ConfigError("only a run of a built-in example can run as node processes")
         flags = ["--example", str(self.example_id), "--iters", str(self.no_iters)]
         if self.seed is not None:
             flags += ["--seed", str(self.seed)]
@@ -328,3 +319,41 @@ class ExampleRun:
         if self.fault_node is not None:
             flags += ["--fault-node", str(self.fault_node), "--after-phase", self.after_phase]
         return flags
+
+
+def example_run(
+    example_id: int,
+    no_nodes: int,
+    no_iters: int = 1,
+    base_port: int = 6000,
+    fl_srv_id: int | None = None,
+    seed: int | None = None,
+    recv_timeout: float | None = None,
+    connect_timeout: float | None = None,
+    fault_node: int | None = None,
+    after_phase: str | None = None,
+) -> Run:
+    """The run of a built-in example that `fltestbed node`, `launch` and `verify` build.
+
+    The example is looked up in EXAMPLES now; its data is the canonical
+    dataset without a seed, generated data with one. A None server id is
+    the example's canonical one, clamped to the last node in smaller
+    federations; a None timeout is the transport default.
+    """
+    spec = get_example(example_id)
+    if seed is not None:
+        ldata = generate_ldata(spec, no_nodes, seed)
+    elif no_nodes == len(spec.default_ldata):
+        ldata = spec.default_ldata
+    else:
+        raise ConfigError(
+            f"example {spec.example_id} has a canonical {len(spec.default_ldata)}-node "
+            f"dataset; pass a seed to run with {no_nodes} nodes"
+        )
+    return Run(
+        spec.engine, spec.callbacks, tuple(ldata), None, no_iters, base_port,
+        min(spec.default_fl_srv_id, no_nodes - 1) if fl_srv_id is None else fl_srv_id,
+        RECV_TIMEOUT if recv_timeout is None else recv_timeout,
+        CONNECT_TIMEOUT if connect_timeout is None else connect_timeout,
+        fault_node, after_phase, example_id, seed,
+    )

@@ -1,15 +1,15 @@
-"""Verification harness: run an example, compare every node to the oracle.
+"""Verification harness: run a callback pair, compare every node to the oracle.
 
-A run is an examples.ExampleRun, checked once when it is built. It
-executes either in-process (one thread per node calling run.run_node over
-the loopback hub) or as real node processes spawned by launch_federation,
-each of which builds the same run from its flags and calls the same
-run_node. The harness then replays the matching sequential simulator on
-the same inputs and reports per-node agreement at the default tolerances.
-launch_federation is also what `fltestbed launch` runs. fuzz_verify
-hammers the engines with randomized federations against the simulators; a
-fixed seed reproduces the exact trial sequence, and every trial checks the
-server's sender order through the same oracle comparison.
+A run is an examples.Run, checked once when it is built. verify_run, the
+one simulate-run-compare path, runs it either in-process (one thread per
+node calling run.run_node over a loopback hub) or, for a built-in
+example, as node processes spawned by launch_federation, each of which
+builds the same run from its flags. It replays the matching sequential
+simulator on the same inputs and reports per-node agreement at the default
+tolerances. launch_federation is also what `fltestbed launch` runs.
+fuzz_verify runs randomized federations through verify_run; every trial
+also runs the sender-order pair, and a fixed seed reproduces the exact
+trial sequence.
 """
 
 from __future__ import annotations
@@ -21,13 +21,19 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
-from .engine import CENTRALIZED, DECENTRALIZED, CallbackPair, FlConfig, run_node
+from .engine import CENTRALIZED, CallbackPair
 from .errors import ConfigError, FlError
-from .examples import EXAMPLES, ExampleRun, laid_out_like, sim_centralized, sim_decentralized
+from .examples import (
+    EXAMPLES,
+    Run,
+    example_run,
+    laid_out_like,
+    sim_centralized,
+    sim_decentralized,
+)
 from .launcher import LaunchResult, LaunchSpec, NodeOutcome, launch_all
-from .transport import RECV_TIMEOUT, LoopbackHub, LoopbackTransport
+from .transport import LoopbackHub
 from .values import Value, approx_eq, dumps, format_number, loads
 
 MODE_INPROC = "inproc"
@@ -47,7 +53,7 @@ class NodeVerdict:
 
 @dataclass
 class RunReport:
-    example_id: int
+    example_id: int | None  # None for a run that is not a built-in example
     mode: str
     no_nodes: int
     no_iters: int
@@ -97,78 +103,14 @@ def canonical_text(obj) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} canonically")
 
 
-def run_federation_inproc(
-    no_nodes: int,
-    fl_srv_id: int,
-    engine: str,
-    callbacks: CallbackPair | list[CallbackPair],
-    ldata_arr: list[Value],
-    pdata_arr: list[Value] | None = None,
-    no_iters: int = 1,
-    recv_timeout: float = RECV_TIMEOUT,
-) -> list[Value | Exception]:
-    """Drive one engine per node on threads over a loopback hub.
-
-    Returns each node's final data, or the exception that node raised.
-    `callbacks` may be a single pair shared by all nodes or one pair per node
-    (used by recording tests).
-    """
-    if pdata_arr is None:
-        pdata_arr = [None] * no_nodes
-    pairs = callbacks if isinstance(callbacks, list) else [callbacks] * no_nodes
-    if len(pairs) != no_nodes or len(ldata_arr) != no_nodes or len(pdata_arr) != no_nodes:
-        raise ConfigError("callbacks/ldata/pdata lists must have one entry per node")
-
-    def node(node_id: int, transport) -> Value:
-        cfg = FlConfig(no_nodes, node_id, fl_srv_id, recv_timeout=recv_timeout)
-        return run_node(cfg, engine, pairs[node_id], ldata_arr[node_id], pdata_arr[node_id],
-                        no_iters, transport=transport)
-
-    return _on_threads(no_nodes, no_iters, recv_timeout, node)
+def _simulate(run: Run) -> list[Value]:
+    """The sequential oracle of `run`'s engine: every node's final data."""
+    if run.engine == CENTRALIZED:
+        return sim_centralized(run.ldata, run.pdata, run.fl_srv_id, run.callbacks, run.no_iters)
+    return sim_decentralized(run.ldata, run.pdata, run.callbacks, run.no_iters)
 
 
-def _on_threads(no_nodes: int, no_iters: int, recv_timeout: float,
-                node: Callable[[int, LoopbackTransport], Value]) -> list[Value | Exception]:
-    """node(node_id, transport) for every node, each on its own thread over one loopback hub."""
-    hub = LoopbackHub(no_nodes, recv_timeout=recv_timeout)
-    results: list[Value | Exception] = [None] * no_nodes
-
-    def worker(node_id: int) -> None:
-        try:
-            results[node_id] = node(node_id, hub.transport(node_id))
-        except Exception as e:
-            results[node_id] = e
-
-    threads = [
-        threading.Thread(target=worker, args=(i,), name=f"node-{i}", daemon=True)
-        for i in range(no_nodes)
-    ]
-    for t in threads:
-        t.start()
-    deadline = time.monotonic() + recv_timeout * no_iters * 3 + 10.0
-    for t in threads:
-        t.join(max(0.0, deadline - time.monotonic()))
-    for i, t in enumerate(threads):
-        if t.is_alive():
-            results[i] = FlError(f"node {i} engine thread did not finish")
-    return results
-
-
-def _simulate(
-    engine: str,
-    callbacks: CallbackPair,
-    ldata_arr: list[Value],
-    pdata_arr: list[Value],
-    fl_srv_id: int,
-    no_iters: int,
-) -> list[Value]:
-    """The sequential oracle of `engine`: every node's final data."""
-    if engine == CENTRALIZED:
-        return sim_centralized(ldata_arr, pdata_arr, fl_srv_id, callbacks, no_iters)
-    return sim_decentralized(ldata_arr, pdata_arr, callbacks, no_iters)
-
-
-def launch_federation(run: ExampleRun, per_node_timeout: float = 60.0) -> LaunchResult:
+def launch_federation(run: Run, per_node_timeout: float = 60.0) -> LaunchResult:
     """Run `run` as `fltestbed node` processes, one per node.
 
     The run made its checks when it was built, so a bad run fails before
@@ -199,40 +141,58 @@ def run_and_verify(
     per_node_timeout: float = 60.0,
 ) -> RunReport:
     """Execute one example in the requested mode and verify it against its oracle."""
-    run = ExampleRun(example_id, no_nodes, no_iters, base_port, seed=seed,
-                     recv_timeout=recv_timeout, connect_timeout=connect_timeout,
-                     fault_node=kill_node, after_phase=after_phase)
+    run = example_run(example_id, no_nodes, no_iters, base_port, seed=seed,
+                      recv_timeout=recv_timeout, connect_timeout=connect_timeout,
+                      fault_node=kill_node, after_phase=after_phase)
     return verify_run(run, mode, per_node_timeout)
 
 
-def verify_run(run: ExampleRun, mode: str, per_node_timeout: float = 60.0) -> RunReport:
+def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport:
     """Execute `run` in the requested mode and verify every node against the oracle.
 
     In-process, each node is a thread calling run.run_node over a loopback
     hub; in proc mode each is a `fltestbed node` process that builds the
-    same run from its flags.
+    same run from its flags. An oracle that raises is reported on every
+    node without a diagnostic of its own.
     """
     if mode not in (MODE_INPROC, MODE_PROC):
         raise ConfigError(f"mode must be '{MODE_INPROC}' or '{MODE_PROC}', got {mode!r}")
     no_nodes = run.no_nodes
-    oracle = _simulate(run.spec.engine, run.spec.callbacks, run.ldata, [None] * no_nodes,
-                       run.fl_srv_id, run.no_iters)
-
     started = time.monotonic()
     if mode == MODE_INPROC:
-        raw = _on_threads(no_nodes, run.no_iters, run.recv_timeout, run.run_node)
-        distributed = [
-            (None, f"{type(r).__name__}: {r}") if isinstance(r, Exception) else (r, None)
-            for r in raw
-        ]
+        hub = LoopbackHub(no_nodes, recv_timeout=run.recv_timeout)
+        distributed: list[tuple[Value, str | None]] = [(None, None)] * no_nodes
+
+        def worker(node_id: int) -> None:
+            try:
+                distributed[node_id] = run.run_node(node_id, hub.transport(node_id)), None
+            except Exception as e:
+                distributed[node_id] = None, f"{type(e).__name__}: {e}"
+
+        threads = [threading.Thread(target=worker, args=(i,), name=f"node-{i}", daemon=True)
+                   for i in range(no_nodes)]
+        for t in threads:
+            t.start()
+        deadline = time.monotonic() + run.recv_timeout * run.no_iters * 3 + 10.0
+        for i, t in enumerate(threads):
+            t.join(max(0.0, deadline - time.monotonic()))
+            if t.is_alive():
+                distributed[i] = None, f"FlError: node {i} engine thread did not finish"
     else:
         launch = launch_federation(run, per_node_timeout)
         distributed = [_proc_result(launch.outcome(i)) for i in range(no_nodes)]
     wall_time = time.monotonic() - started
 
+    oracle_error = None
+    try:
+        oracle = _simulate(run)
+    except Exception as e:
+        oracle, oracle_error = [None] * no_nodes, f"oracle raised {type(e).__name__}: {e}"
+
     per_node = []
     for node_id in range(no_nodes):
         result, diagnostic = distributed[node_id]
+        diagnostic = diagnostic or oracle_error
         match = diagnostic is None and approx_eq(result, oracle[node_id])
         per_node.append(
             NodeVerdict(
@@ -341,20 +301,14 @@ class FuzzSummary:
         return self.failed == 0
 
 
-def _disagreements(engine: str, callbacks: CallbackPair, ldata_arr: list[Value],
-                   pdata_arr: list[Value], fl_srv_id: int, no_iters: int) -> list[str]:
-    """Run a federation in process; one line per node that raised or differs from the oracle."""
-    expected = _simulate(engine, callbacks, ldata_arr, pdata_arr, fl_srv_id, no_iters)
-    actual = run_federation_inproc(
-        len(ldata_arr), fl_srv_id, engine, callbacks, ldata_arr, pdata_arr, no_iters
-    )
-    problems = []
-    for i, r in enumerate(actual):
-        if isinstance(r, Exception):
-            problems.append(f"node {i} raised {type(r).__name__}: {r}")
-        elif not approx_eq(r, expected[i]):
-            problems.append(f"node {i} got {dumps(r)}, oracle {dumps(expected[i])}")
-    return problems
+def _disagreements(run: Run) -> list[str]:
+    """One line per node of an in-process run that raised or differs from the oracle."""
+    return [
+        f"node {v.node_id} raised {v.diagnostic}" if v.diagnostic is not None
+        else f"node {v.node_id} got {dumps(v.distributed)}, oracle {dumps(v.oracle)}"
+        for v in verify_run(run, MODE_INPROC).per_node
+        if not v.match
+    ]
 
 
 def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
@@ -364,8 +318,6 @@ def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
     trial whose sender-order run disagrees with its oracle counts as one
     ordering violation.
     """
-    if engine not in (CENTRALIZED, DECENTRALIZED):
-        raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
@@ -380,11 +332,11 @@ def fuzz_verify(engine: str, trials: int, seed: int) -> FuzzSummary:
         readings = [rng.uniform(-1e6, 1e6) for _ in range(no_nodes)]
         ldata_arr = laid_out_like(sample, readings)
 
-        problems = _disagreements(engine, callbacks, ldata_arr, [None] * no_nodes,
-                                  fl_srv_id, no_iters)
+        problems = _disagreements(Run(engine, callbacks, ldata_arr, None, no_iters,
+                                      fl_srv_id=fl_srv_id))
         ids = [float(i) for i in range(no_nodes)]
-        misordered = _disagreements(engine, _SENDER_ORDER, [[i] for i in ids], ids,
-                                    fl_srv_id, no_iters)
+        misordered = _disagreements(Run(engine, _SENDER_ORDER, [[i] for i in ids], ids,
+                                        no_iters, fl_srv_id=fl_srv_id))
         if misordered:
             ordering_violations += 1
             problems += [f"sender order: {p}" for p in misordered]

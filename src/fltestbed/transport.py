@@ -295,7 +295,8 @@ class TcpTransport(_Transport):
     large frames cannot deadlock. Between calls nobody reads; inbound bytes
     wait in the kernel. Outbound connections are made on the first send to
     a peer, retrying with exponential backoff from 1 ms up to 0.1 s
-    until connect_timeout.
+    until connect_timeout; a peer that this node has received a frame
+    from has already bound, so its refused connect fails the send at once.
     """
 
     def __init__(self, cfg: FlConfig):
@@ -303,6 +304,7 @@ class TcpTransport(_Transport):
         self.cfg = cfg
         self.port = cfg.base_port + cfg.node_id
         self._out: dict[int, socket.socket] = {}
+        self._heard: set[int] = set()  # nodes a frame has come from, so they have bound
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -363,6 +365,7 @@ class TcpTransport(_Transport):
                 self._buffer.fail(e)
                 return
             self._buffer.put(env)
+            self._heard.add(env.src)
             pos = end
         del pending[:pos]
 
@@ -382,6 +385,9 @@ class TcpTransport(_Transport):
                 self._out[dst] = sock
                 return sock
             except OSError as e:
+                if isinstance(e, ConnectionRefusedError) and dst in self._heard:
+                    # a transport binds before it sends, so this peer has closed
+                    raise TransportError(f"node {dst} unreachable on port {port}: {e}") from e
                 if time.monotonic() >= deadline:
                     raise TransportError(
                         f"node {dst} unreachable on port {port} after "

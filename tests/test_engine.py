@@ -20,7 +20,6 @@ from fltestbed.errors import (
     UsageError,
 )
 from fltestbed.examples import get_example, sim_centralized, sim_decentralized
-from fltestbed.harness import run_federation_inproc
 from fltestbed.transport import LoopbackHub, Phase, TcpTransport
 from fltestbed.values import approx_eq
 
@@ -29,23 +28,25 @@ from conftest import alloc_base_port
 
 def run_federation(kind, no_nodes, fl_srv_id, engine, callbacks, ldata_arr,
                    pdata_arr=None, no_iters=1, recv_timeout=5.0):
-    """Run one engine per node on threads, over loopback or real sockets."""
-    if kind == "loopback":
-        return run_federation_inproc(
-            no_nodes, fl_srv_id, engine, callbacks, ldata_arr, pdata_arr,
-            no_iters=no_iters, recv_timeout=recv_timeout,
-        )
+    """Run one engine per node on threads, over loopback or real sockets.
+
+    `callbacks` is one pair for every node or a list of one pair per node.
+    """
     pairs = callbacks if isinstance(callbacks, list) else [callbacks] * no_nodes
     if pdata_arr is None:
         pdata_arr = [None] * no_nodes
-    base_port = alloc_base_port(no_nodes)
+    if kind == "loopback":
+        base_port, transports = 6000, LoopbackHub(no_nodes, recv_timeout).transports()
+    else:
+        base_port, transports = alloc_base_port(no_nodes), [None] * no_nodes
     results = [None] * no_nodes
 
     def worker(i):
         try:
             cfg = FlConfig(no_nodes=no_nodes, node_id=i, fl_srv_id=fl_srv_id,
                            base_port=base_port, recv_timeout=recv_timeout, connect_timeout=2.0)
-            results[i] = run_node(cfg, engine, pairs[i], ldata_arr[i], pdata_arr[i], no_iters)
+            results[i] = run_node(cfg, engine, pairs[i], ldata_arr[i], pdata_arr[i], no_iters,
+                                  transport=transports[i])
         except Exception as e:
             results[i] = e
 
@@ -54,6 +55,7 @@ def run_federation(kind, no_nodes, fl_srv_id, engine, callbacks, ldata_arr,
         t.start()
     for t in threads:
         t.join(30.0)
+        assert not t.is_alive()
     return results
 
 

@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
-from fltestbed.engine import CENTRALIZED, DECENTRALIZED
-from fltestbed.errors import ConfigError
+from fltestbed.engine import CENTRALIZED, DECENTRALIZED, CallbackPair
+from fltestbed.errors import ConfigError, TransportError
+from fltestbed.examples import Run
 from fltestbed.transport import Phase, _MessageBuffer
 from fltestbed.values import loads
 from fltestbed.harness import (
@@ -14,6 +15,7 @@ from fltestbed.harness import (
     canonical_text,
     fuzz_verify,
     run_and_verify,
+    verify_run,
 )
 
 from conftest import alloc_base_port
@@ -159,6 +161,12 @@ class TestFuzz:
         with pytest.raises(ConfigError):
             fuzz_verify("bogus", 1, seed=0)
 
+    # node 0's line in trial 2 (affine-weighted) of seed 0 with rotated replies
+    _AFFINE_LINES = {
+        CENTRALIZED: "node 0 got [-48107.32375129073], oracle [-279341.37160073797]",
+        DECENTRALIZED: "node 0 got [-188871.31316130774], oracle [-112884.71020744897]",
+    }
+
     @pytest.mark.parametrize("engine", [CENTRALIZED, DECENTRALIZED])
     def test_rotated_replies_are_ordering_violations(self, engine, monkeypatch):
         # every server callback gets its replies rotated by one sender
@@ -175,6 +183,115 @@ class TestFuzz:
         assert summary.ordering_violations > 0
         assert summary.failed >= summary.ordering_violations
         assert not summary.ok
+        problems = {f["trial"]: f["problems"] for f in summary.failures}
+        # trial 0: 8 nodes, server node 6
+        assert "sender order: node 6 got [1,2,3,4,5,7,0], oracle [0,1,2,3,4,5,7]" in problems[0]
+        assert summary.failures[2]["suite"] == "affine-weighted"
+        assert self._AFFINE_LINES[engine] in problems[2]
+
+    def test_failed_receive_names_the_node(self, monkeypatch):
+        # the server's receive of the replies fails; the clients' iteration-1
+        # receives are capped so that they time out quickly instead
+        take = _MessageBuffer.take
+
+        def failing(self, phase, iteration, senders, timeout):
+            if phase is Phase.CLI_DATA:
+                raise TransportError("injected")
+            return take(self, phase, iteration, senders, min(timeout, 1.0))
+
+        monkeypatch.setattr(_MessageBuffer, "take", failing)
+        summary = fuzz_verify(CENTRALIZED, 1, seed=0)
+        (failure,) = summary.failures
+        assert (failure["trial"], failure["flSrvId"]) == (0, 6)
+        assert "node 6 raised TransportError: injected" in failure["problems"]
+        assert "sender order: node 6 raised TransportError: injected" in failure["problems"]
+
+
+def _mean_client(local_data, private_data, msg):
+    return [(a + b) / 2 for a, b in zip(local_data, msg)]
+
+
+def _mean_server(private_data, msgs):
+    return [sum(column) / len(msgs) for column in zip(*msgs)]
+
+
+_MEAN = CallbackPair(_mean_client, _mean_server)
+_MEAN_LDATA = ([1.0, 2.0], [3.0, 4.0], [5.0, 7.0])
+
+
+class TestRun:
+    """A Run of a callback pair that is not a built-in example."""
+
+    @pytest.mark.parametrize("engine", [CENTRALIZED, DECENTRALIZED])
+    def test_any_pair_verifies_inproc(self, engine):
+        report = verify_run(Run(engine, _MEAN, _MEAN_LDATA), MODE_INPROC)
+        assert report.overall_match, report.to_text()
+        assert report.to_mapping()["exampleId"] is None
+
+    @pytest.mark.parametrize("engine", [CENTRALIZED, DECENTRALIZED])
+    def test_raising_client_is_a_callback_error_on_each_client(self, engine):
+        def client(local_data, private_data, msg):
+            raise RuntimeError("boom")
+
+        run = Run(engine, CallbackPair(client, _mean_server), _MEAN_LDATA, recv_timeout=0.5)
+        report = verify_run(run, MODE_INPROC)
+        assert not report.overall_match
+        clients = [v for v in report.per_node if engine == DECENTRALIZED or v.node_id != 0]
+        assert [v.diagnostic for v in clients] == \
+            ["CallbackError: client callback failed at iteration 0: boom"] * len(clients)
+
+    def test_oracle_failure_is_reported_on_nodes_without_a_diagnostic(self):
+        # only node 2's data makes the client raise: node 1 completes, but
+        # the oracle raised too, so node 1 has nothing to be compared with
+        def client(local_data, private_data, msg):
+            if local_data[0] > 4:
+                raise RuntimeError("boom")
+            return _mean_client(local_data, private_data, msg)
+
+        run = Run(CENTRALIZED, CallbackPair(client, _mean_server), _MEAN_LDATA,
+                  recv_timeout=0.5)
+        verdicts = verify_run(run, MODE_INPROC).per_node
+        assert [v.match for v in verdicts] == [False] * 3
+        assert verdicts[0].diagnostic.startswith("ProtocolTimeout: ")
+        assert verdicts[1].diagnostic == "oracle raised RuntimeError: boom"
+        assert verdicts[2].diagnostic == \
+            "CallbackError: client callback failed at iteration 0: boom"
+
+    @pytest.mark.parametrize("engine", [CENTRALIZED, DECENTRALIZED])
+    def test_tuple_returning_client_is_a_serialization_error(self, engine):
+        # the oracle accepts the tuples; a send does not
+        def client(local_data, private_data, msg):
+            return tuple(_mean_client(local_data, private_data, msg))
+
+        run = Run(engine, CallbackPair(client, _mean_server), _MEAN_LDATA, recv_timeout=0.5)
+        report = verify_run(run, MODE_INPROC)
+        assert not report.overall_match
+        clients = [v for v in report.per_node if engine == DECENTRALIZED or v.node_id != 0]
+        assert all(v.diagnostic.startswith("SerializationError: ") for v in clients), \
+            [v.diagnostic for v in clients]
+
+    def test_proc_mode_needs_a_built_in_example(self, monkeypatch):
+        from fltestbed import harness
+
+        started = []
+        monkeypatch.setattr(harness, "launch_all", started.append)
+        with pytest.raises(ConfigError, match="built-in example"):
+            verify_run(Run(CENTRALIZED, _MEAN, _MEAN_LDATA), MODE_PROC)
+        assert started == []
+
+    # (Run keywords, text the error must contain)
+    @pytest.mark.parametrize("case", [
+        ({"engine": "centralized"}, "engine must be"),
+        ({"pdata": (None, None)}, "2 pdata entries for 3 nodes"),
+        ({"ldata": ([1.0],)}, "no_nodes must be an integer >= 2"),
+        ({"fault_node": 1}, "must be given together"),
+        ({"fault_node": 0, "after_phase": "cli"}, "node 0 never reaches fault point cli"),
+        ({"no_iters": 0}, "no_iters must be >= 1"),
+    ])
+    def test_bad_run_rejected_when_built(self, case):
+        kwargs, reason = case
+        with pytest.raises(ConfigError, match=reason):
+            Run(**{"engine": CENTRALIZED, "callbacks": _MEAN, "ldata": _MEAN_LDATA, **kwargs})
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

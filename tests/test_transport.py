@@ -510,6 +510,25 @@ class TestTcpSpecifics:
         finally:
             t.close()
 
+    def test_refused_connect_to_a_peer_heard_from_fails_at_once(self):
+        # node 1 sent to node 0 and then closed: no backoff until connect_timeout
+        base = alloc_base_port(2)
+        t0, t1 = (TcpTransport(FlConfig(no_nodes=2, node_id=i, base_port=base,
+                                        connect_timeout=5.0, recv_timeout=5.0)) for i in (0, 1))
+        try:
+            t1.send(Envelope(1, 0, Phase.CLI_DATA, 0, 1.0))
+            t0.recv_matching(Phase.CLI_DATA, 0, (1,))
+            t1.close()
+            started = time.monotonic()
+            with pytest.raises(TransportError) as exc:
+                t0.send(Envelope(0, 1, Phase.SRV_DATA, 1, 2.0))
+            assert time.monotonic() - started < 1.0
+            assert "node 1 unreachable" in str(exc.value)
+            assert "SRV_DATA" in str(exc.value)
+        finally:
+            t0.close()
+            t1.close()
+
     def test_startup_race_tolerated(self):
         # sender connects while the destination binds a moment later
         base = alloc_base_port(2)
