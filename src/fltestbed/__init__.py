@@ -25,7 +25,6 @@ from .errors import (
 )
 from .examples import (
     EXAMPLES,
-    ExampleSpec,
     get_example,
     seq_example1,
     seq_example2,
@@ -45,7 +44,6 @@ __all__ = [
     "DEFAULT_REL_TOL",
     "Envelope",
     "EXAMPLES",
-    "ExampleSpec",
     "FaultInjected",
     "FlConfig",
     "FlError",

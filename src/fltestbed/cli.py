@@ -27,7 +27,7 @@ import sys
 
 from .engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS
 from .errors import FlError, ProtocolTimeout
-from .examples import Run, example_run
+from .examples import EXAMPLES, Run, example_run
 from .values import dumps
 
 EXIT_OK = 0
@@ -37,7 +37,7 @@ EXIT_TIMEOUT = 2
 
 def _add_run_flags(p: argparse.ArgumentParser, fault_flag: str) -> None:
     """The flags of one run of an example, shared by node, launch and verify."""
-    p.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--example", type=int, required=True, choices=tuple(EXAMPLES))
     p.add_argument("--base-port", type=int, default=6000)
     p.add_argument("--iters", type=int, default=1)
     p.add_argument("--seed", type=int, default=None,

@@ -15,8 +15,9 @@ single-process programs operation for operation, so on the canonical inputs
 they agree with the generic simulators bit for bit, not just within
 tolerance. sim_centralized / sim_decentralized replay the engine contracts
 for arbitrary callbacks and federation sizes; they define correctness for
-every distributed run. A Run is one checked run of any callback pair;
-example_run builds the Run of a built-in example, the run that
+every distributed run. A Run is one checked run of any callback pair.
+EXAMPLES maps each example id to the example's canonical 3-node Run, checked
+when this module is imported; example_run derives from it the run that
 `fltestbed node`, `launch` and `verify` all build.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .engine import (
     CENTRALIZED,
@@ -84,52 +85,6 @@ def ex2_server(private_data: Value, msgs: list[Value]) -> Value:
     totals = [lst[0] for lst in msgs]
     average = sum(totals) / len(totals)
     return [average]
-
-
-@dataclass(frozen=True)
-class ExampleSpec:
-    example_id: int
-    name: str
-    callbacks: CallbackPair
-    default_ldata: tuple[Value, ...]  # canonical 3-node dataset
-    default_fl_srv_id: int
-    engine: str  # CENTRALIZED or DECENTRALIZED
-
-
-EXAMPLES: dict[int, ExampleSpec] = {
-    1: ExampleSpec(
-        example_id=1,
-        name="federated-map",
-        callbacks=CallbackPair(client=ex1_client, server=ex1_server),
-        default_ldata=(68.0, 70.5, 69.5),
-        default_fl_srv_id=2,
-        engine=CENTRALIZED,
-    ),
-    2: ExampleSpec(
-        example_id=2,
-        name="centralized-averaging",
-        callbacks=CallbackPair(client=ex2_client, server=ex2_server),
-        default_ldata=([1], [2], [3]),
-        default_fl_srv_id=0,
-        engine=CENTRALIZED,
-    ),
-    # Example 3 reuses the example-2 callbacks under the decentralized engine.
-    3: ExampleSpec(
-        example_id=3,
-        name="decentralized-averaging",
-        callbacks=CallbackPair(client=ex2_client, server=ex2_server),
-        default_ldata=([1], [2], [3]),
-        default_fl_srv_id=0,
-        engine=DECENTRALIZED,
-    ),
-}
-
-
-def get_example(example_id: int) -> ExampleSpec:
-    try:
-        return EXAMPLES[example_id]
-    except KeyError:
-        raise ConfigError(f"unknown example id {example_id}; choose one of 1, 2, 3") from None
 
 
 def _check_arr(ldata_arr, fl_srv_id: int) -> None:
@@ -235,7 +190,7 @@ def laid_out_like(sample: Value, readings: list[float]) -> list[Value]:
     return readings if is_number(sample) else [[x] for x in readings]
 
 
-def generate_ldata(spec: ExampleSpec, no_nodes: int, seed: int) -> list[Value]:
+def generate_ldata(example: Run, no_nodes: int, seed: int) -> list[Value]:
     """Deterministic random dataset in the layout of the example's canonical one.
 
     Values are uniform in [-1e6, 1e6]; every process that knows (example,
@@ -245,7 +200,7 @@ def generate_ldata(spec: ExampleSpec, no_nodes: int, seed: int) -> list[Value]:
         raise ConfigError(f"need at least 2 nodes, got {no_nodes}")
     rng = random.Random(seed)
     readings = [rng.uniform(-1e6, 1e6) for _ in range(no_nodes)]
-    return laid_out_like(spec.default_ldata[0], readings)
+    return laid_out_like(example.ldata[0], readings)
 
 
 @dataclass(frozen=True)
@@ -255,7 +210,8 @@ class Run:
     Building a run makes the checks each node would make: the engine, the
     fault pair (a point the fault node passes in that engine), one pdata
     entry per node (None for all without pdata), every node's FlConfig and
-    the iteration count. example_id and seed are for node_flags only.
+    the iteration count. Each EXAMPLES entry is the canonical run of a
+    built-in example. example_id and seed are for node_flags only.
     """
 
     engine: str
@@ -321,6 +277,27 @@ class Run:
         return flags
 
 
+EXAMPLES: dict[int, Run] = {
+    run.example_id: run
+    for run in (
+        Run(CENTRALIZED, CallbackPair(ex1_client, ex1_server), (68.0, 70.5, 69.5),
+            fl_srv_id=2, example_id=1),
+        Run(CENTRALIZED, CallbackPair(ex2_client, ex2_server), ([1], [2], [3]), example_id=2),
+        # Example 3 reuses the example-2 callbacks under the decentralized engine.
+        Run(DECENTRALIZED, CallbackPair(ex2_client, ex2_server), ([1], [2], [3]), example_id=3),
+    )
+}
+
+
+def get_example(example_id: int) -> Run:
+    """The canonical 3-node run of a built-in example."""
+    try:
+        return EXAMPLES[example_id]
+    except KeyError:
+        raise ConfigError(f"unknown example id {example_id}; "
+                          f"choose one of {', '.join(map(str, EXAMPLES))}") from None
+
+
 def example_run(
     example_id: int,
     no_nodes: int,
@@ -335,25 +312,26 @@ def example_run(
 ) -> Run:
     """The run of a built-in example that `fltestbed node`, `launch` and `verify` build.
 
-    The example is looked up in EXAMPLES now; its data is the canonical
-    dataset without a seed, generated data with one. A None server id is
-    the example's canonical one, clamped to the last node in smaller
-    federations; a None timeout is the transport default.
+    It is the example's canonical run from EXAMPLES, looked up now, with
+    the given settings. Its data is the canonical dataset without a seed,
+    generated data with one. A None server id is the example's canonical
+    one, clamped to the last node in smaller federations; a None timeout is
+    the transport default.
     """
-    spec = get_example(example_id)
+    canonical = get_example(example_id)
     if seed is not None:
-        ldata = generate_ldata(spec, no_nodes, seed)
-    elif no_nodes == len(spec.default_ldata):
-        ldata = spec.default_ldata
+        ldata = generate_ldata(canonical, no_nodes, seed)
+    elif no_nodes == canonical.no_nodes:
+        ldata = canonical.ldata
     else:
         raise ConfigError(
-            f"example {spec.example_id} has a canonical {len(spec.default_ldata)}-node "
+            f"example {example_id} has a canonical {canonical.no_nodes}-node "
             f"dataset; pass a seed to run with {no_nodes} nodes"
         )
-    return Run(
-        spec.engine, spec.callbacks, tuple(ldata), None, no_iters, base_port,
-        min(spec.default_fl_srv_id, no_nodes - 1) if fl_srv_id is None else fl_srv_id,
-        RECV_TIMEOUT if recv_timeout is None else recv_timeout,
-        CONNECT_TIMEOUT if connect_timeout is None else connect_timeout,
-        fault_node, after_phase, example_id, seed,
+    return replace(
+        canonical, ldata=tuple(ldata), pdata=None, no_iters=no_iters, base_port=base_port,
+        fl_srv_id=min(canonical.fl_srv_id, no_nodes - 1) if fl_srv_id is None else fl_srv_id,
+        recv_timeout=RECV_TIMEOUT if recv_timeout is None else recv_timeout,
+        connect_timeout=CONNECT_TIMEOUT if connect_timeout is None else connect_timeout,
+        fault_node=fault_node, after_phase=after_phase, seed=seed,
     )

@@ -1,12 +1,14 @@
 """Verification harness: run a callback pair, compare every node to the oracle.
 
-A run is an examples.Run, checked once when it is built. verify_run, the
+A run is an examples.Run, checked once when it is built; a built-in
+example's canonical run is its examples.EXAMPLES entry. verify_run, the
 one simulate-run-compare path, runs it either in-process (one thread per
 node calling run.run_node over a loopback hub) or, for a built-in
 example, as node processes spawned by launch_federation, each of which
 builds the same run from its flags. It replays the matching sequential
 simulator on the same inputs and reports per-node agreement at the default
-tolerances. launch_federation is also what `fltestbed launch` runs.
+tolerances; a report holds only valid payloads. launch_federation is also
+what `fltestbed launch` runs.
 fuzz_verify runs randomized federations through verify_run; every trial
 also runs the sender-order pair, and a fixed seed reproduces the exact
 trial sequence.
@@ -23,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 
 from .engine import CENTRALIZED, CallbackPair
-from .errors import ConfigError, FlError
+from .errors import ConfigError, FlError, SerializationError
 from .examples import (
     EXAMPLES,
     Run,
@@ -34,7 +36,7 @@ from .examples import (
 )
 from .launcher import LaunchResult, LaunchSpec, NodeOutcome, launch_all
 from .transport import LoopbackHub
-from .values import Value, approx_eq, dumps, format_number, loads
+from .values import Value, approx_eq, dumps, format_number, loads, validate_value
 
 MODE_INPROC = "inproc"
 MODE_PROC = "proc"
@@ -152,7 +154,10 @@ def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport
 
     In-process, each node is a thread calling run.run_node over a loopback
     hub; in proc mode each is a `fltestbed node` process that builds the
-    same run from its flags. An oracle that raises is reported on every
+    same run from its flags. Either mode gives every node until
+    per_node_timeout after the start. A node result or oracle state that is
+    not a valid payload is reported as that node's SerializationError,
+    with null in its place. An oracle that raises is reported on every
     node without a diagnostic of its own.
     """
     if mode not in (MODE_INPROC, MODE_PROC):
@@ -161,23 +166,25 @@ def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport
     started = time.monotonic()
     if mode == MODE_INPROC:
         hub = LoopbackHub(no_nodes, recv_timeout=run.recv_timeout)
-        distributed: list[tuple[Value, str | None]] = [(None, None)] * no_nodes
+        finished: list[tuple[Value, str | None]] = [(None, None)] * no_nodes
 
         def worker(node_id: int) -> None:
             try:
-                distributed[node_id] = run.run_node(node_id, hub.transport(node_id)), None
+                result = run.run_node(node_id, hub.transport(node_id))
+                validate_value(result)
+                finished[node_id] = result, None
             except Exception as e:
-                distributed[node_id] = None, f"{type(e).__name__}: {e}"
+                finished[node_id] = None, f"{type(e).__name__}: {e}"
 
         threads = [threading.Thread(target=worker, args=(i,), name=f"node-{i}", daemon=True)
                    for i in range(no_nodes)]
         for t in threads:
             t.start()
-        deadline = time.monotonic() + run.recv_timeout * run.no_iters * 3 + 10.0
+        distributed = []
         for i, t in enumerate(threads):
-            t.join(max(0.0, deadline - time.monotonic()))
-            if t.is_alive():
-                distributed[i] = None, f"FlError: node {i} engine thread did not finish"
+            t.join(max(0.0, started + per_node_timeout - time.monotonic()))
+            distributed.append((None, f"FlError: node {i} engine thread did not finish")
+                               if t.is_alive() else finished[i])
     else:
         launch = launch_federation(run, per_node_timeout)
         distributed = [_proc_result(launch.outcome(i)) for i in range(no_nodes)]
@@ -192,13 +199,18 @@ def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport
     per_node = []
     for node_id in range(no_nodes):
         result, diagnostic = distributed[node_id]
+        expected = oracle[node_id]
+        try:
+            validate_value(expected)
+        except SerializationError as e:
+            expected, diagnostic = None, diagnostic or f"oracle gave SerializationError: {e}"
         diagnostic = diagnostic or oracle_error
-        match = diagnostic is None and approx_eq(result, oracle[node_id])
+        match = diagnostic is None and approx_eq(result, expected)
         per_node.append(
             NodeVerdict(
                 node_id=node_id,
                 distributed=result,
-                oracle=oracle[node_id],
+                oracle=expected,
                 match=match,
                 diagnostic=diagnostic,
             )
@@ -255,8 +267,8 @@ def _weighted_server(private_data, msgs):
 
 # (name, callbacks, a value in the layout of their local data)
 _FUZZ_SUITES: list[tuple[str, CallbackPair, Value]] = [
-    ("indicator-mean", EXAMPLES[1].callbacks, EXAMPLES[1].default_ldata[0]),
-    ("pairwise-mean", EXAMPLES[2].callbacks, EXAMPLES[2].default_ldata[0]),
+    ("indicator-mean", EXAMPLES[1].callbacks, EXAMPLES[1].ldata[0]),
+    ("pairwise-mean", EXAMPLES[2].callbacks, EXAMPLES[2].ldata[0]),
     ("affine-weighted", CallbackPair(_affine_client, _weighted_server), [0.0]),
 ]
 

@@ -4,6 +4,9 @@ from pathlib import Path
 import pytest
 
 from fltestbed.cli import build_parser
+from fltestbed.engine import CENTRALIZED, DECENTRALIZED
+from fltestbed.examples import EXAMPLES
+from fltestbed.values import loads
 
 from conftest import alloc_base_port
 
@@ -42,3 +45,17 @@ def test_readme_python_blocks_print_their_result_comments(index, capsys):
     assert expected
     exec(compile(block, f"README.md python block {index}", "exec"), {})
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_examples_table_matches_examples():
+    # the README table is the only place the example names live
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Built-in examples\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")][2:]
+    assert [int(row[0]) for row in rows] == list(EXAMPLES)
+    engines = {"centralized": CENTRALIZED, "decentralized": DECENTRALIZED}
+    for example_id, _name, engine, data in rows:
+        run = EXAMPLES[int(example_id)]
+        assert engines[engine] == run.engine
+        assert loads("[" + data.replace(" ", "") + "]") == list(run.ldata)

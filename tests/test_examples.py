@@ -7,10 +7,12 @@ from fltestbed.engine import CallbackPair
 from fltestbed.errors import ConfigError
 from fltestbed.examples import (
     EXAMPLES,
+    Run,
     ex1_client,
     ex1_server,
     ex2_client,
     ex2_server,
+    example_run,
     generate_ldata,
     get_example,
     seq_example1,
@@ -211,5 +213,13 @@ class TestDatasets:
         assert all(isinstance(x, list) and len(x) == 1 for x in singletons)
 
     def test_unknown_example_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="choose one of 1, 2, 3"):
             get_example(4)
+
+
+@pytest.mark.parametrize("example_id", [1, 2, 3])
+def test_each_example_is_its_canonical_run(example_id):
+    canonical = EXAMPLES[example_id]
+    assert isinstance(canonical, Run)
+    assert canonical.example_id == example_id
+    assert example_run(example_id, 3) == canonical

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -269,6 +271,43 @@ class TestRun:
         clients = [v for v in report.per_node if engine == DECENTRALIZED or v.node_id != 0]
         assert all(v.diagnostic.startswith("SerializationError: ") for v in clients), \
             [v.diagnostic for v in clients]
+
+    # server callbacks whose result is no payload; the oracle computes the same
+    @pytest.mark.parametrize("server", [
+        lambda private_data, msgs: [msgs[0][0] * 1e308 * 10],
+        lambda private_data, msgs: (msgs[0][0],),
+    ], ids=["inf", "tuple"])
+    def test_server_result_that_is_no_payload_is_a_serialization_error(self, server):
+        report = verify_run(Run(CENTRALIZED, CallbackPair(_mean_client, server), _MEAN_LDATA),
+                            MODE_INPROC)
+        mapping = json.loads(report.to_text())
+        server_verdict, *clients = mapping["perNode"]
+        assert server_verdict["diagnostic"].startswith("SerializationError: ")
+        assert server_verdict["distributedResult"] is None
+        assert server_verdict["oracleResult"] is None
+        assert [v["match"] for v in clients] == [True, True]
+
+    def test_inproc_deadline_is_the_per_node_timeout(self):
+        gate = threading.Event()
+
+        def client(local_data, private_data, msg):
+            if threading.current_thread().name == "node-1":
+                gate.wait()
+            return _mean_client(local_data, private_data, msg)
+
+        run = Run(CENTRALIZED, CallbackPair(client, _mean_server), _MEAN_LDATA, recv_timeout=0.5)
+        started = time.monotonic()
+        try:
+            report = verify_run(run, MODE_INPROC, per_node_timeout=1.0)
+            elapsed = time.monotonic() - started
+        finally:
+            gate.set()
+        (straggler,) = [t for t in threading.enumerate() if t.name == "node-1"]
+        straggler.join(10)
+        assert not straggler.is_alive()
+        assert elapsed < 5
+        assert report.per_node[1].diagnostic == "FlError: node 1 engine thread did not finish"
+        assert report.per_node[1].distributed is None
 
     def test_proc_mode_needs_a_built_in_example(self, monkeypatch):
         from fltestbed import harness

@@ -46,3 +46,26 @@ def test_tracer_installs_and_counts_every_layer():
     for name in ("harness.oracle", "engine.run", "transport.send", "transport.decode",
                  "values.validate"):
         assert calls.get(name, 0) > 0, (name, calls)
+
+
+def test_node_side_install_traces_the_example_callbacks(tmp_path):
+    # what a verify-proc node runs under `--trace 1`: install_in_child
+    # rebuilds every EXAMPLES entry with traced callbacks and dumps the
+    # aggregates to PERFBENCH_TRACE_DIR at exit
+    code = (
+        "import tracer\n"
+        "tracer.install_in_child()\n"
+        "from fltestbed.examples import EXAMPLES\n"
+        "from fltestbed.harness import verify_run\n"
+        "assert verify_run(EXAMPLES[3], 'inproc').overall_match\n"
+    )
+    path = os.pathsep.join(filter(None, (str(PERFBENCH), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path, "PERFBENCH_TRACE_DIR": str(tmp_path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    (dump,) = tmp_path.glob("*.json")
+    calls = {name: rec[0] for name, rec in json.loads(dump.read_text())["agg"].items()}
+    assert calls.get("engine.client_cb", 0) > 0, calls
