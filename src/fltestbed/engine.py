@@ -120,21 +120,19 @@ class FlInstance:
         no_iters: int = 1,
     ) -> Value:
         """Run the centralized engine; must be called on every node."""
-        check_iters(no_iters)
         cfg = self.cfg
-        peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
-        with self._begin_run(CENTRALIZED):
+        with self._begin_run(CENTRALIZED, no_iters) as peers:
             if cfg.node_id == cfg.fl_srv_id:
                 for k in range(no_iters):
                     self.transport.broadcast(peers, Phase.SRV_DATA, k, ldata)
                     self._fault_point("srv")
                     replies = self.transport.recv_matching(Phase.CLI_DATA, k, peers)
                     msgs = [env.payload for env in replies]
-                    ldata = self._call_server(callbacks, pdata, msgs, k)
+                    ldata = self._call("server", k, callbacks.server, pdata, msgs)
             else:
                 for k in range(no_iters):
                     (env,) = self.transport.recv_matching(Phase.SRV_DATA, k, (cfg.fl_srv_id,))
-                    ldata = self._call_client(callbacks, ldata, pdata, env.payload, k)
+                    ldata = self._call("client", k, callbacks.client, ldata, pdata, env.payload)
                     self.transport.send(
                         Envelope(cfg.node_id, cfg.fl_srv_id, Phase.CLI_DATA, k, ldata)
                     )
@@ -149,10 +147,8 @@ class FlInstance:
         no_iters: int = 1,
     ) -> Value:
         """Run the decentralized engine; must be called on every node."""
-        check_iters(no_iters)
         cfg = self.cfg
-        peers = tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
-        with self._begin_run(DECENTRALIZED):
+        with self._begin_run(DECENTRALIZED, no_iters) as peers:
             for k in range(no_iters):
                 start = ldata  # phase II replies are computed from this snapshot
                 self.transport.broadcast(peers, Phase.DEC_P1, k, start)
@@ -162,11 +158,12 @@ class FlInstance:
                 # an injected crash always fail on the DEC_P2 exchange
                 self._fault_point("p1")
                 for env in broadcasts:
-                    reply = self._call_client(callbacks, start, pdata, env.payload, k)
+                    reply = self._call("client", k, callbacks.client, start, pdata, env.payload)
                     self.transport.send(Envelope(cfg.node_id, env.src, Phase.DEC_P2, k, reply))
                 self._fault_point("p2")
                 replies = self.transport.recv_matching(Phase.DEC_P2, k, peers)
-                ldata = self._call_server(callbacks, pdata, [env.payload for env in replies], k)
+                msgs = [env.payload for env in replies]
+                ldata = self._call("server", k, callbacks.server, pdata, msgs)
             return ldata
 
     def shutdown(self) -> None:
@@ -180,8 +177,9 @@ class FlInstance:
         self.transport.close()
 
     @contextlib.contextmanager
-    def _begin_run(self, engine: str):
-        """Mark an engine run; a run that raises closes the transport."""
+    def _begin_run(self, engine: str, no_iters: int):
+        """Mark an engine run and yield the node's peers; a run that raises closes the transport."""
+        check_iters(no_iters)
         cfg, fault = self.cfg, self._fault_after_phase
         with self._lock:
             if self._closed:
@@ -194,7 +192,7 @@ class FlInstance:
                 )
             self._running = True
         try:
-            yield
+            yield tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
         except BaseException:
             with self._lock:
                 self._running = False
@@ -207,17 +205,12 @@ class FlInstance:
         with self._lock:
             self._running = False
 
-    def _call_client(self, callbacks, ldata, pdata, msg, iteration) -> Value:
+    def _call(self, role: str, iteration: int, callback: Callable, *args) -> Value:
+        """The `role` callback's result; whatever it raises becomes a CallbackError."""
         try:
-            return callbacks.client(ldata, pdata, msg)
+            return callback(*args)
         except Exception as e:
-            raise CallbackError(f"client callback failed at iteration {iteration}: {e}") from e
-
-    def _call_server(self, callbacks, pdata, msgs, iteration) -> Value:
-        try:
-            return callbacks.server(pdata, msgs)
-        except Exception as e:
-            raise CallbackError(f"server callback failed at iteration {iteration}: {e}") from e
+            raise CallbackError(f"{role} callback failed at iteration {iteration}: {e}") from e
 
     def _fault_point(self, tag: str) -> None:
         if self._fault_after_phase == tag:

@@ -155,10 +155,11 @@ def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport
     In-process, each node is a thread calling run.run_node over a loopback
     hub; in proc mode each is a `fltestbed node` process that builds the
     same run from its flags. Either mode gives every node until
-    per_node_timeout after the start. A node result or oracle state that is
-    not a valid payload is reported as that node's SerializationError,
-    with null in its place. An oracle that raises is reported on every
-    node without a diagnostic of its own.
+    per_node_timeout after the start; then every in-process receive fails,
+    and only a thread stuck in a callback outlives the run. A node result
+    or oracle state that is not a valid payload is reported as that node's
+    SerializationError, with null in its place. An oracle that raises is
+    reported on every node without a diagnostic of its own.
     """
     if mode not in (MODE_INPROC, MODE_PROC):
         raise ConfigError(f"mode must be '{MODE_INPROC}' or '{MODE_PROC}', got {mode!r}")
@@ -185,6 +186,7 @@ def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport
             t.join(max(0.0, started + per_node_timeout - time.monotonic()))
             distributed.append((None, f"FlError: node {i} engine thread did not finish")
                                if t.is_alive() else finished[i])
+        hub.fail(FlError("in-process run stopped at its deadline"))
     else:
         launch = launch_federation(run, per_node_timeout)
         distributed = [_proc_result(launch.outcome(i)) for i in range(no_nodes)]

@@ -457,6 +457,10 @@ class LoopbackHub:
     def transports(self) -> list["LoopbackTransport"]:
         return [self.transport(i) for i in range(self.no_nodes)]
 
+    def fail(self, exc: Exception) -> None:
+        for buf in self._buffers:
+            buf.fail(exc)
+
 
 class LoopbackTransport(_Transport):
     """Same contract as TcpTransport, delivered through shared buffers.

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from fltestbed.cli import build_parser
-from fltestbed.engine import CENTRALIZED, DECENTRALIZED
+from fltestbed.engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS, fault_points
 from fltestbed.examples import EXAMPLES
 from fltestbed.values import loads
 
@@ -47,15 +47,31 @@ def test_readme_python_blocks_print_their_result_comments(index, capsys):
     assert capsys.readouterr().out.splitlines() == expected
 
 
+def _table_after(marker: str) -> list[list[str]]:
+    """The body rows of the first README table after `marker`, each cell stripped."""
+    text = README.read_text(encoding="utf-8").split(marker, 1)[1]
+    table = text[text.index("\n|") + 1:].split("\n\n", 1)[0]
+    return [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in table.splitlines()][2:]
+
+
 def test_readme_examples_table_matches_examples():
     # the README table is the only place the example names live
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Built-in examples\n", 1)[1].split("\n## ", 1)[0]
-    rows = [[cell.strip() for cell in line.strip("|").split("|")]
-            for line in section.splitlines() if line.startswith("|")][2:]
+    rows = _table_after("\n## Built-in examples\n")
     assert [int(row[0]) for row in rows] == list(EXAMPLES)
     engines = {"centralized": CENTRALIZED, "decentralized": DECENTRALIZED}
     for example_id, _name, engine, data in rows:
         run = EXAMPLES[int(example_id)]
         assert engines[engine] == run.engine
         assert loads("[" + data.replace(" ", "") + "]") == list(run.ldata)
+
+
+def test_readme_fault_point_table_matches_engine():
+    rows = _table_after("\nEach fault point is reached by")
+    assert [row[0] for row in rows] == [f"`{point}`" for point in FAULT_POINTS]
+    engines = {"centralized": CENTRALIZED, "decentralized": DECENTRALIZED}
+    roles = {"the server": {True}, "each client": {False}, "every node": {True, False}}
+    for point, engine, reached_by, _what in rows:
+        reached = {(e, srv) for e in engines.values() for srv in (True, False)
+                   if point.strip("`") in fault_points(e, srv)}
+        assert reached == {(engines[engine], srv) for srv in roles[reached_by]}, point

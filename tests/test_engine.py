@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FlConfig(no_nodes=3, node_id=0, fl_srv_id=3)
 
+    def test_unknown_fault_point_rejected_before_any_port_is_bound(self, monkeypatch):
+        bound = []
+        monkeypatch.setattr("fltestbed.engine.TcpTransport", bound.append)
+        with pytest.raises(ConfigError, match="fault_after_phase must be one of"):
+            FlInstance(FlConfig(no_nodes=2, node_id=0), fault_after_phase="bogus")
+        assert bound == []
+
     def test_instance_binds_expected_port(self):
         base = alloc_base_port(3)
         inst = FlInstance(FlConfig(no_nodes=3, node_id=2, fl_srv_id=2, base_port=base))
@@ -312,6 +319,10 @@ class TestFailurePaths:
         e2 = get_example(2)
         with pytest.raises(ConfigError):
             inst.fl_centralized(e2.callbacks, [1], no_iters=0)
+        # the iteration count is checked before the instance's state
+        inst.shutdown()
+        with pytest.raises(ConfigError, match="no_iters must be >= 1, got 0"):
+            inst.fl_decentralized(e2.callbacks, [1], no_iters=0)
 
 
 class _DummyTransport:

@@ -9,11 +9,13 @@ import pytest
 from fltestbed.engine import CENTRALIZED, DECENTRALIZED, CallbackPair
 from fltestbed.errors import ConfigError, TransportError
 from fltestbed.examples import Run
+from fltestbed.launcher import NodeOutcome
 from fltestbed.transport import Phase, _MessageBuffer
 from fltestbed.values import loads
 from fltestbed.harness import (
     MODE_INPROC,
     MODE_PROC,
+    _proc_result,
     canonical_text,
     fuzz_verify,
     run_and_verify,
@@ -242,6 +244,28 @@ class TestRun:
         assert [v.diagnostic for v in clients] == \
             ["CallbackError: client callback failed at iteration 0: boom"] * len(clients)
 
+    @pytest.mark.parametrize("role", ["client", "server"])
+    @pytest.mark.parametrize("engine", [CENTRALIZED, DECENTRALIZED])
+    def test_raising_callback_error_names_role_and_iteration(self, engine, role):
+        # each node's data counts the iterations; the `role` callback raises in iteration 1
+        def client(local_data, private_data, msg):
+            if role == "client" and msg == [1.0]:
+                raise RuntimeError("boom")
+            return msg
+
+        def server(private_data, msgs):
+            if role == "server" and msgs[0] == [1.0]:
+                raise RuntimeError("boom")
+            return [msgs[0][0] + 1.0]
+
+        run = Run(engine, CallbackPair(client, server), [[0.0] for _ in range(3)], no_iters=2,
+                  recv_timeout=0.5)
+        verdicts = verify_run(run, MODE_INPROC).per_node
+        raisers = [v for v in verdicts
+                   if engine == DECENTRALIZED or (v.node_id == 0) == (role == "server")]
+        assert [v.diagnostic for v in raisers] == \
+            [f"CallbackError: {role} callback failed at iteration 1: boom"] * len(raisers)
+
     def test_oracle_failure_is_reported_on_nodes_without_a_diagnostic(self):
         # only node 2's data makes the client raise: node 1 completes, but
         # the oracle raised too, so node 1 has nothing to be compared with
@@ -309,6 +333,28 @@ class TestRun:
         assert report.per_node[1].diagnostic == "FlError: node 1 engine thread did not finish"
         assert report.per_node[1].distributed is None
 
+    def test_inproc_deadline_stops_threads_blocked_in_a_receive(self):
+        # node 0 waits for node 1's reply with the default 30 s recv_timeout
+        gate = threading.Event()
+
+        def client(local_data, private_data, msg):
+            if threading.current_thread().name == "node-1":
+                gate.wait()
+            return _mean_client(local_data, private_data, msg)
+
+        run = Run(CENTRALIZED, CallbackPair(client, _mean_server), _MEAN_LDATA)
+        before = set(threading.enumerate())
+        try:
+            report = verify_run(run, MODE_INPROC, per_node_timeout=1.0)
+            servers = [t for t in threading.enumerate() if t.name == "node-0" and t not in before]
+            for t in servers:
+                t.join(5)
+            assert not any(t.is_alive() for t in servers)
+        finally:
+            gate.set()
+        assert [v.diagnostic for v in report.per_node[:2]] == \
+            [f"FlError: node {i} engine thread did not finish" for i in range(2)]
+
     def test_proc_mode_needs_a_built_in_example(self, monkeypatch):
         from fltestbed import harness
 
@@ -331,6 +377,19 @@ class TestRun:
         kwargs, reason = case
         with pytest.raises(ConfigError, match=reason):
             Run(**{"engine": CENTRALIZED, "callbacks": _MEAN, "ldata": _MEAN_LDATA, **kwargs})
+
+
+# (outcome of node process 1, the diagnostic of its missing result)
+@pytest.mark.parametrize("case", [
+    (NodeOutcome(1, None, "", "", 2.0, timed_out=True),
+     "node 1 exceeded the launch deadline and was terminated"),
+    (NodeOutcome(1, 0, "RESULT 0 [1]\n", "", 0.1), "node 1 printed no RESULT line"),
+    (NodeOutcome(1, 0, "RESULT 1 [1,\n", "", 0.1),
+     "node 1 RESULT payload unreadable: malformed payload: Expecting value (byte offset 3)"),
+], ids=["timed-out", "no-result-line", "unreadable-result"])
+def test_proc_result_diagnostics(case):
+    outcome, diagnostic = case
+    assert _proc_result(outcome) == (None, diagnostic)
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:

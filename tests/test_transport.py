@@ -365,6 +365,24 @@ class TestLoopbackClosedNode:
             nodes[1].send(Envelope(1, 0, Phase.CLI_DATA, 0, [1.0]))
 
 
+class TestLoopbackHub:
+    def test_needs_two_nodes(self):
+        with pytest.raises(UsageError, match="at least 2 nodes, got 1"):
+            LoopbackHub(1)
+
+    def test_transport_id_out_of_range(self):
+        with pytest.raises(UsageError, match="node id 3 out of range for 3 nodes"):
+            LoopbackHub(3).transport(3)
+
+    def test_fail_ends_every_nodes_receives(self):
+        hub = LoopbackHub(2, recv_timeout=30.0)
+        nodes = hub.transports()
+        hub.fail(RuntimeError("stopped"))
+        for node in nodes:
+            with pytest.raises(TransportError, match="^receive failed: stopped$"):
+                node.recv_matching(Phase.DEC_P1, 0, (1 - node.node_id,))
+
+
 class TestBroadcast:
     def test_frames_match_encode_frame(self):
         # peers 1 and 2 are raw sockets, so the test sees the exact wire bytes
