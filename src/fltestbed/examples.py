@@ -38,9 +38,9 @@ from .engine import (
     fault_points,
     run_node,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SerializationError
 from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT
-from .values import Value, is_number
+from .values import Value, canonical_copy, is_number, validate_value
 
 
 def ex1_client(local_data: Value, private_data: Value, msg: Value) -> Value:
@@ -203,6 +203,14 @@ def generate_ldata(example: Run, no_nodes: int, seed: int) -> list[Value]:
     return laid_out_like(example.ldata[0], readings)
 
 
+def _own_copy(v: Value) -> Value:
+    try:
+        validate_value(v)
+    except SerializationError:
+        return v
+    return canonical_copy(v)
+
+
 @dataclass(frozen=True)
 class Run:
     """One run of any callback pair over len(ldata) nodes, checked once for all of them.
@@ -255,11 +263,21 @@ class Run:
         return FlConfig(self.no_nodes, node_id, self.fl_srv_id, self.base_port,
                         self.connect_timeout, self.recv_timeout)
 
+    def node_data(self, node_id: int) -> tuple[Value, Value]:
+        """Node `node_id`'s local and private data, as copies of its own.
+
+        A node or an oracle whose callback writes into its data changes
+        only that copy, not the run. A valid payload is copied as a wire hop
+        would return it (values.canonical_copy); anything else is handed on
+        as it is, for the engine's send to reject.
+        """
+        return _own_copy(self.ldata[node_id]), _own_copy(self.pdata[node_id])
+
     def run_node(self, node_id: int, transport=None) -> Value:
         """Node `node_id`'s share of the run, over TCP unless a transport is given."""
         fault = self.after_phase if node_id == self.fault_node else None
-        return run_node(self.config(node_id), self.engine, self.callbacks, self.ldata[node_id],
-                        self.pdata[node_id], self.no_iters, transport, fault)
+        return run_node(self.config(node_id), self.engine, self.callbacks,
+                        *self.node_data(node_id), self.no_iters, transport, fault)
 
     def node_flags(self) -> list[str]:
         """The run flags of `fltestbed node`; the launcher adds each node's

@@ -107,9 +107,10 @@ def canonical_text(obj) -> str:
 
 def _simulate(run: Run) -> list[Value]:
     """The sequential oracle of `run`'s engine: every node's final data."""
+    ldata, pdata = zip(*map(run.node_data, range(run.no_nodes)))
     if run.engine == CENTRALIZED:
-        return sim_centralized(run.ldata, run.pdata, run.fl_srv_id, run.callbacks, run.no_iters)
-    return sim_decentralized(run.ldata, run.pdata, run.callbacks, run.no_iters)
+        return sim_centralized(ldata, pdata, run.fl_srv_id, run.callbacks, run.no_iters)
+    return sim_decentralized(ldata, pdata, run.callbacks, run.no_iters)
 
 
 def launch_federation(run: Run, per_node_timeout: float = 60.0) -> LaunchResult:

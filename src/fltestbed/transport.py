@@ -53,16 +53,32 @@ if TYPE_CHECKING:
 
 
 class Phase(enum.Enum):
-    """Protocol phase tags; values are the on-wire names."""
+    """Protocol phase tags; values are the on-wire names.
+
+    Members hash by identity, in C, not by Enum's Python-level hash of the
+    name: every message hashes its (phase, iteration) buffer key.
+    """
 
     SRV_DATA = "SRV_DATA"  # server broadcast to clients (centralized)
     CLI_DATA = "CLI_DATA"  # client reply to server (centralized)
     DEC_P1 = "DEC_P1"      # all-to-all broadcast (decentralized phase I)
     DEC_P2 = "DEC_P2"      # per-peer reply (decentralized phase II)
 
+    __hash__ = object.__hash__
+
+
+# Each phase's tag as frame bytes, and the phase of each tag.
+_TAG = {phase: phase.value.encode("ascii") for phase in Phase}
+_PHASE_OF_TAG = {tag: phase for phase, tag in _TAG.items()}
+
 
 def _check_route(src: int, dst: int, phase: Phase, iteration: int) -> None:
     """Raise UsageError unless these are valid envelope header fields."""
+    # One test passes every valid header of exact ints (the OR of ints is
+    # negative iff one of them is); anything else takes the named checks.
+    if (type(src) is type(dst) is type(iteration) is int and (src | dst | iteration) >= 0
+            and src != dst and type(phase) is Phase):
+        return
     for name, v in (("src", src), ("dst", dst), ("iter", iteration)):
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             raise UsageError(f"envelope {name} must be a non-negative integer, got {v!r}")
@@ -113,7 +129,7 @@ def encode_frame(env: Envelope) -> bytes:
 def _frame(src: int, dst: int, phase: Phase, iteration: int, payload: bytes) -> bytes:
     """Wire frame around a payload that is already in canonical text."""
     head = b'{"src":%d,"dst":%d,"phase":"%s","iter":%d,"payload":' % (
-        src, dst, phase.value.encode("ascii"), iteration
+        src, dst, _TAG[phase], iteration
     )
     return b"".join((_LENGTH.pack(len(head) + len(payload) + 1), head, payload, b"}"))
 
@@ -125,14 +141,12 @@ def decode_body(body: bytes) -> Envelope:
         raise ParseError("frame header is not src,dst,phase,iter,payload in canonical form", 0)
     if not body.endswith(b"}"):
         raise ParseError("frame body does not end with '}'", len(body) - 1)
-    tag = m[3].decode("ascii")
-    try:
-        phase = Phase(tag)
-    except ValueError:
-        raise ParseError(f"unknown phase tag {tag!r}", m.start(3)) from None
+    phase = _PHASE_OF_TAG.get(bytes(m[3]))  # bytes(): a bytearray body's group is unhashable
+    if phase is None:
+        raise ParseError(f"unknown phase tag {m[3].decode('ascii')!r}", m.start(3))
     payload = loads(body[m.end():-1])  # the one payload validation on receipt
     try:
-        return Envelope(src=int(m[1]), dst=int(m[2]), phase=phase, iter=int(m[4]), payload=payload)
+        return Envelope(int(m[1]), int(m[2]), phase, int(m[4]), payload)
     except (UsageError, ValueError) as e:  # ValueError: an int past Python's digit limit
         raise ParseError(f"invalid envelope fields: {e}") from None
 
@@ -153,18 +167,23 @@ class _MessageBuffer:
     take() blocks through `wait(seconds)`: by default the condition
     variable that put() notifies, which suits senders on other threads;
     TcpTransport passes its select round, which reads the node's sockets on
-    the waiting thread. The lock is reentrant, so a wait that calls put()
-    from inside take() is safe.
+    the waiting thread, so nothing waits on the condition and put() does
+    not notify. The lock is reentrant, so a wait that calls put() from
+    inside take() is safe.
     """
 
     def __init__(self, wait: Callable[[float], object] | None = None):
-        self._cond = threading.Condition()
-        self._wait = self._cond.wait if wait is None else wait
+        self._lock = threading.RLock()
+        if wait is None:
+            cond = threading.Condition(self._lock)
+            self._wait, self._notify = cond.wait, cond.notify_all
+        else:
+            self._wait, self._notify = wait, None
         self._buckets: dict[tuple[Phase, int], dict[int, Envelope]] = defaultdict(dict)
         self._error: Exception | None = None
 
     def put(self, env: Envelope) -> None:
-        with self._cond:
+        with self._lock:
             bucket = self._buckets[(env.phase, env.iter)]
             if env.src in bucket:  # poisons pending and later receives, as a bad frame does
                 self._error = TransportError(
@@ -172,12 +191,14 @@ class _MessageBuffer:
                     f"at iteration {env.iter}"
                 )
             bucket[env.src] = env
-            self._cond.notify_all()
+            if self._notify is not None:
+                self._notify()
 
     def fail(self, exc: Exception) -> None:
-        with self._cond:
+        with self._lock:
             self._error = exc
-            self._cond.notify_all()
+            if self._notify is not None:
+                self._notify()
 
     def take(
         self, phase: Phase, iteration: int, senders: tuple[int, ...], timeout: float
@@ -185,9 +206,9 @@ class _MessageBuffer:
         """One envelope from each of `senders`, in that order."""
         if not senders:
             raise UsageError("a receive must name at least one sender")
-        deadline = time.monotonic() + timeout
+        deadline = None  # set on the first wait
         key = (phase, iteration)
-        with self._cond:
+        with self._lock:
             while True:
                 if self._error is not None:
                     raise TransportError(f"receive failed: {self._error}") from self._error
@@ -201,7 +222,10 @@ class _MessageBuffer:
                         )
                     del self._buckets[key]
                     return [bucket[src] for src in senders]
-                remaining = deadline - time.monotonic()
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + timeout
+                remaining = deadline - now
                 if remaining <= 0:
                     missing = [src for src in senders if src not in bucket]
                     raise ProtocolTimeout(
@@ -253,10 +277,18 @@ class _Transport:
             raise UsageError("transport is closed")
         if src != self.node_id:
             raise UsageError(f"envelope src {src} does not match sending node {self.node_id}")
+        # src, phase and iter once, then each destination; a field that
+        # fails the quick test gets the first destination's full check,
+        # which raises what checking destination by destination would.
+        if dsts and not (type(src) is type(iteration) is int and (src | iteration) >= 0
+                         and type(phase) is Phase):
+            _check_route(src, dsts[0], phase, iteration)
+        no_nodes = self.no_nodes
         for dst in dsts:
-            _check_route(src, dst, phase, iteration)
-            if not dst < self.no_nodes:
-                raise UsageError(f"envelope dst {dst} out of range for {self.no_nodes} nodes")
+            if not (type(dst) is int and 0 <= dst < no_nodes and dst != src):
+                _check_route(src, dst, phase, iteration)
+                if not dst < no_nodes:
+                    raise UsageError(f"envelope dst {dst} out of range for {no_nodes} nodes")
         packed = self._pack(payload)  # the one validation of the payload
         for dst in dsts:
             try:
@@ -348,14 +380,18 @@ class TcpTransport(_Transport):
             if pending:
                 self._buffer.fail(TransportError("peer closed mid-frame"))
             return  # at a frame boundary, a close is silent
-        pending += data
-        pos = 0
-        while len(pending) - pos >= 4:
-            end = pos + 4 + _LENGTH.unpack_from(pending, pos)[0]
-            if end > len(pending):
+        # Frames that arrive whole are decoded straight from the chunk; only
+        # a frame split across reads waits in the bytearray.
+        if pending:
+            pending += data
+            data = pending
+        pos, size = 0, len(data)
+        while size - pos >= 4:
+            end = pos + 4 + _LENGTH.unpack_from(data, pos)[0]
+            if end > size:
                 break
             try:
-                env = decode_body(bytes(pending[pos + 4:end]))
+                env = decode_body(data[pos + 4:end])
                 if env.dst != self.node_id:
                     raise TransportError(
                         f"frame for node {env.dst} arrived at node {self.node_id}"
@@ -367,7 +403,10 @@ class TcpTransport(_Transport):
             self._buffer.put(env)
             self._heard.add(env.src)
             pos = end
-        del pending[:pos]
+        if data is pending:
+            del pending[:pos]
+        elif pos < size:
+            pending += memoryview(data)[pos:]
 
     def _drop(self, conn: socket.socket) -> None:
         self._sel.unregister(conn)
@@ -398,7 +437,13 @@ class TcpTransport(_Transport):
 
     def _send_all(self, sock: socket.socket, frame: bytes) -> None:
         """Write the whole frame, reading inbound frames while the peer's buffer is full."""
-        view = memoryview(frame)
+        try:
+            sent = sock.send(frame)
+        except BlockingIOError:
+            sent = 0
+        if sent == len(frame):  # the common case: one send takes it all
+            return
+        view = memoryview(frame)[sent:]
         waiting = False
         try:
             while True:

@@ -154,8 +154,10 @@ def canonical_copy(v: Value) -> Value:
 # true/false, NaN and Infinity all need a byte outside this set.
 _PAYLOAD_BYTES = b"0123456789.-+eE,[]nul"
 # Over those bytes the JSON number grammar is the payload's; parse_int makes
-# every number a float, so "2" and "-0" read back as 2.0 and -0.0.
-_DECODER = json.JSONDecoder(parse_int=float)
+# every number a float, so "2" and "-0" read back as 2.0 and -0.0. The byte
+# filter leaves no whitespace, so the decoder's scanner runs on the text
+# directly, without decode()'s whitespace skips.
+_SCAN = json.JSONDecoder(parse_int=float).scan_once
 
 
 def loads(text: str | bytes) -> Value:
@@ -171,13 +173,19 @@ def loads(text: str | bytes) -> Value:
         except UnicodeEncodeError as e:
             raise ParseError("non-ASCII byte in payload text", e.start) from None
     else:
-        data = bytes(text)
+        data, text = bytes(text), None  # a bytes object is not copied
     foreign = data.translate(None, _PAYLOAD_BYTES)
     if foreign:
         raise ParseError(f"unexpected byte {foreign[:1]!r} in payload", data.index(foreign[:1]))
+    if text is None:
+        text = data.decode("ascii")
     try:
-        value = _DECODER.decode(data.decode("ascii"))
+        value, end = _SCAN(text, 0)
+        if end != len(text):
+            raise ParseError("malformed payload: Extra data", end)
         validate_value(value)
+    except StopIteration as e:
+        raise ParseError("malformed payload: Expecting value", e.value) from None
     except json.JSONDecodeError as e:
         raise ParseError(f"malformed payload: {e.msg}", e.pos) from None
     except SerializationError:

@@ -3,12 +3,13 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from fltestbed.engine import CENTRALIZED, DECENTRALIZED, CallbackPair
 from fltestbed.errors import ConfigError, TransportError
-from fltestbed.examples import Run
+from fltestbed.examples import EXAMPLES, Run, ex2_client, ex2_server
 from fltestbed.launcher import NodeOutcome
 from fltestbed.transport import Phase, _MessageBuffer
 from fltestbed.values import loads
@@ -231,6 +232,32 @@ class TestRun:
         report = verify_run(Run(engine, _MEAN, _MEAN_LDATA), MODE_INPROC)
         assert report.overall_match, report.to_text()
         assert report.to_mapping()["exampleId"] is None
+
+    @pytest.mark.parametrize("example_id,results", [
+        (2, [[1.75], [1.5], [2.0]]),
+        (3, [[1.75], [2.0], [2.25]]),
+    ])
+    def test_client_writing_its_local_data_leaves_the_run_alone(self, example_id, results):
+        # each node and the oracle get copies of their own: a client that
+        # writes into local_data changes neither EXAMPLES nor a later run
+        canonical = EXAMPLES[example_id]
+
+        def client(local_data, private_data, msg):
+            reply = ex2_client(local_data, private_data, msg)
+            local_data[0] = 99.0
+            return reply
+
+        report = verify_run(replace(canonical, callbacks=CallbackPair(client, ex2_server)),
+                            MODE_INPROC)
+        if canonical.engine == CENTRALIZED:
+            # a decentralized node hands one start list to all its client
+            # calls, so there the write is an impure pair's own mismatch
+            assert report.overall_match, report.to_text()
+        assert EXAMPLES[example_id] is canonical
+        assert canonical.ldata == ([1], [2], [3])
+        again = run_and_verify(example_id, MODE_INPROC)
+        assert again.overall_match
+        assert [v.distributed for v in again.per_node] == results
 
     @pytest.mark.parametrize("engine", [CENTRALIZED, DECENTRALIZED])
     def test_raising_client_is_a_callback_error_on_each_client(self, engine):

@@ -9,8 +9,8 @@ import time
 import pytest
 from hypothesis import example, given, settings
 
-from fltestbed import values
-from fltestbed.engine import FlConfig
+from fltestbed import transport, values
+from fltestbed.engine import CENTRALIZED, FlConfig, run_node
 from fltestbed.errors import (
     ConfigError,
     ParseError,
@@ -19,6 +19,7 @@ from fltestbed.errors import (
     TransportError,
     UsageError,
 )
+from fltestbed.examples import EXAMPLES
 from fltestbed.transport import (
     Envelope,
     LoopbackHub,
@@ -148,6 +149,41 @@ def test_loopback_broadcast_scans_a_flat_payload_once(monkeypatch):
         assert _exact(env.payload) == _exact(loads(dumps(nested)))
 
 
+def test_tcp_round_encodes_once_per_send_and_decodes_once_per_frame(monkeypatch):
+    # one centralized round on 4 TCP node threads: 1 broadcast and 3
+    # replies are 4 sends, carried by 6 frames
+    calls: dict = {"dumps": [], "decode_body": [], "loads": []}
+
+    def counted(name):
+        fn = getattr(transport, name)
+
+        def count(*args):
+            calls[name].append(args)  # append is atomic across the node threads
+            return fn(*args)
+
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(transport, name, counted(name))
+    base = alloc_base_port(4)
+    ldata = [[float(i)] for i in range(4)]
+    results: list = [None] * 4
+
+    def node(i):
+        cfg = FlConfig(no_nodes=4, node_id=i, base_port=base, recv_timeout=10.0)
+        results[i] = run_node(cfg, CENTRALIZED, EXAMPLES[2].callbacks, ldata[i])
+
+    threads = [threading.Thread(target=node, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(20.0)
+        assert not t.is_alive()
+    assert results == [[1.0], [0.5], [1.0], [1.5]]
+    assert {name: len(args) for name, args in calls.items()} == \
+        {"dumps": 4, "decode_body": 6, "loads": 6}
+
+
 class TestEnvelopeInvariants:
     def test_src_dst_must_differ(self):
         with pytest.raises(UsageError):
@@ -175,6 +211,126 @@ class TestEnvelopeInvariants:
                 nodes[1].recv_matching(Phase.CLI_DATA, 0, (0,))
         finally:
             close()
+
+
+class _Id(int):
+    """An int subclass: a valid id or iteration, though not an exact int."""
+
+
+def _unchecked(src, dst, phase, iteration) -> Envelope:
+    """An Envelope that skipped its own checks, so only a send checks it."""
+    env = object.__new__(Envelope)
+    for name, v in zip(("src", "dst", "phase", "iter", "payload"),
+                       (src, dst, phase, iteration, [1.0])):
+        object.__setattr__(env, name, v)
+    return env
+
+
+# Node 1 of 3 sends SRV_DATA iteration 0 to node 2, with one field replaced.
+_HEADER = {"src": 1, "dst": 2, "phase": Phase.SRV_DATA, "iter": 0}
+_BAD_FIELDS = [
+    ({"dst": True}, "envelope dst must be a non-negative integer, got True"),
+    ({"dst": -1}, "envelope dst must be a non-negative integer, got -1"),
+    ({"dst": "2"}, "envelope dst must be a non-negative integer, got '2'"),
+    ({"iter": False}, "envelope iter must be a non-negative integer, got False"),
+    ({"iter": -1}, "envelope iter must be a non-negative integer, got -1"),
+    ({"iter": "0"}, "envelope iter must be a non-negative integer, got '0'"),
+    ({"dst": 1}, "envelope src and dst must differ, both are 1"),
+    ({"phase": "SRV_DATA"}, "envelope phase must be a Phase, got 'SRV_DATA'"),
+    # several bad fields: src, dst, iter, then src == dst, then phase
+    ({"dst": -1, "iter": -1}, "envelope dst must be a non-negative integer, got -1"),
+    ({"iter": -1, "phase": "X"}, "envelope iter must be a non-negative integer, got -1"),
+    ({"dst": 1, "phase": "X"}, "envelope src and dst must differ, both are 1"),
+]
+_BAD_SRC = [
+    ({"src": True}, "envelope src must be a non-negative integer, got True"),
+    ({"src": -1}, "envelope src must be a non-negative integer, got -1"),
+    ({"src": "1"}, "envelope src must be a non-negative integer, got '1'"),
+    ({"src": True, "dst": -1}, "envelope src must be a non-negative integer, got True"),
+]
+
+
+class TestRouteTexts:
+    """The UsageError each bad header field gives, wherever it is checked."""
+
+    @pytest.mark.parametrize("fields,text", _BAD_FIELDS + _BAD_SRC)
+    def test_envelope(self, fields, text):
+        header = {**_HEADER, **fields}
+        with pytest.raises(UsageError) as exc:
+            Envelope(**header, payload=None)
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("fields,text", _BAD_FIELDS + [
+        # True == 1, so it passes as node 1's own id and fails as an id
+        ({"src": True}, "envelope src must be a non-negative integer, got True"),
+        ({"src": -1}, "envelope src -1 does not match sending node 1"),
+        ({"src": "1"}, "envelope src 1 does not match sending node 1"),
+        ({"dst": 3}, "envelope dst 3 out of range for 3 nodes"),
+    ])
+    def test_send(self, kind, fields, text):
+        nodes, close = _federation(kind, 3, recv_timeout=0.05)
+        try:
+            header = {**_HEADER, **fields}
+            with pytest.raises(UsageError) as exc:
+                nodes[1].send(_unchecked(header["src"], header["dst"], header["phase"],
+                                         header["iter"]))
+            assert str(exc.value) == text
+            with pytest.raises(ProtocolTimeout):  # and nothing was sent
+                nodes[2].recv_matching(Phase.SRV_DATA, 0, (1,))
+        finally:
+            close()
+
+    @pytest.mark.parametrize("dsts,fields,text", [
+        ([fields.get("dst", 2)], fields, text) for fields, text in _BAD_FIELDS
+    ] + [
+        ([0, True], {}, "envelope dst must be a non-negative integer, got True"),
+        ([0, 2, 1], {}, "envelope src and dst must differ, both are 1"),
+        ([3, -1], {}, "envelope dst 3 out of range for 3 nodes"),
+        ([0, 3], {"iter": -1}, "envelope iter must be a non-negative integer, got -1"),
+        ([-1, 3], {"phase": "X"}, "envelope dst must be a non-negative integer, got -1"),
+    ])
+    def test_broadcast(self, kind, dsts, fields, text):
+        nodes, close = _federation(kind, 3, recv_timeout=0.05)
+        try:
+            header = {**_HEADER, **fields}
+            with pytest.raises(UsageError) as exc:
+                nodes[1].broadcast(dsts, header["phase"], header["iter"], [1.0])
+            assert str(exc.value) == text
+            with pytest.raises(ProtocolTimeout):  # and nothing was sent
+                nodes[2].recv_matching(Phase.SRV_DATA, 0, (1,))
+        finally:
+            close()
+
+    def test_int_subclass_ids_are_accepted(self, kind):
+        nodes, close = _federation(kind, 3)
+        try:
+            env = Envelope(_Id(1), _Id(2), Phase.SRV_DATA, _Id(0), [1.0])
+            nodes[1].send(env)
+            nodes[1].broadcast([_Id(0), 2], Phase.SRV_DATA, _Id(1), [2.0])
+            nodes[1].broadcast([0, _Id(2)], Phase.SRV_DATA, 2, [3.0])
+            got = [nodes[2].recv_matching(Phase.SRV_DATA, k, (1,))[0] for k in range(3)]
+            assert [(e.src, e.dst, e.iter, e.payload) for e in got] == \
+                [(1, 2, k, [k + 1.0]) for k in range(3)]
+            got = [nodes[0].recv_matching(Phase.SRV_DATA, k, (1,))[0] for k in (1, 2)]
+            assert [e.payload for e in got] == [[2.0], [3.0]]
+        finally:
+            close()
+
+    def test_frame_from_a_node_to_itself_is_a_parse_error(self):
+        body = b'{"src":2,"dst":2,"phase":"CLI_DATA","iter":0,"payload":0}'
+        with pytest.raises(ParseError) as exc:
+            decode_frame(len(body).to_bytes(4, "big") + body)
+        assert str(exc.value) == \
+            "invalid envelope fields: envelope src and dst must differ, both are 2"
+        assert exc.value.offset is None
+
+    @pytest.mark.parametrize("tag", [b"NOPE", b"srv_data", b"SRV_DATA_", b"DEC_P3"])
+    def test_unknown_phase_tag_names_the_tag_and_its_offset(self, tag):
+        body = b'{"src":0,"dst":2,"phase":"' + tag + b'","iter":0,"payload":0}'
+        with pytest.raises(ParseError) as exc:
+            decode_frame(len(body).to_bytes(4, "big") + body)
+        assert str(exc.value) == f"unknown phase tag {tag.decode()!r} (byte offset 26)"
+        assert exc.value.offset == body.index(tag) == 26
 
 
 def _federation(kind: str, no_nodes: int, recv_timeout: float = 5.0):
@@ -685,3 +841,59 @@ class TestTcpReceivePaths:
             assert "missing nodes [1]" in str(exc.value)
         finally:
             node.close()
+
+
+class TestTcpReassembly:
+    """Frames a raw peer writes in pieces are filed whole, in wire order, once each."""
+
+    PAYLOAD = [0.1, -0.0, 1e16, [2.5, []], 3]
+
+    def _receive(self, chunks, iterations):
+        """Write `chunks` to a node, pausing between them, and receive each iteration."""
+        node = TcpTransport(FlConfig(no_nodes=2, node_id=0, base_port=alloc_base_port(2),
+                                     recv_timeout=5.0, connect_timeout=2.0))
+        filed = []
+        put = node._buffer.put
+        node._buffer.put = lambda env: (filed.append(env.iter), put(env))
+        peer = socket.create_connection(("127.0.0.1", node.port), timeout=5.0)
+        peer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+        def write():
+            for chunk in chunks:
+                peer.sendall(chunk)
+                time.sleep(0.001)  # so the node reads most chunks on their own
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            got = [node.recv_matching(Phase.CLI_DATA, k, (1,))[0] for k in iterations]
+        finally:
+            writer.join(10.0)
+            peer.close()
+            node.close()
+        assert filed == list(iterations)
+        want = dumps(loads(dumps(self.PAYLOAD)))
+        for k, env in zip(iterations, got):
+            assert (env.src, env.dst, env.phase, env.iter) == (1, 0, Phase.CLI_DATA, k)
+            assert dumps(env.payload) == want
+
+    def _frame(self, k):
+        return encode_frame(Envelope(1, 0, Phase.CLI_DATA, k, self.PAYLOAD))
+
+    def test_frame_split_at_every_byte_offset(self):
+        # frame k is cut after its first k bytes: inside the length prefix,
+        # inside the header, inside the payload, before the closing brace
+        cuts = range(1, len(self._frame(1)))
+        chunks = [piece for k in cuts for piece in (self._frame(k)[:k], self._frame(k)[k:])]
+        self._receive(chunks, cuts)
+
+    def test_several_frames_in_one_write(self):
+        self._receive([b"".join(self._frame(k) for k in range(10))], range(10))
+
+    def test_whole_frame_then_half_of_the_next(self):
+        frames = [self._frame(k) for k in range(4)]
+        half = len(frames[1]) // 2
+        chunks = [frames[0] + frames[1][:half],
+                  frames[1][half:] + frames[2] + frames[3][:3],
+                  frames[3][3:]]
+        self._receive(chunks, range(4))
