@@ -10,7 +10,7 @@ values), which is all a node process loads. The tooling that spawns and
 checks federations is imported as fltestbed.harness and fltestbed.launcher.
 """
 
-from .engine import CallbackPair, FlConfig, FlInstance, run_node
+from .engine import CallbackPair, FlConfig, FlInstance
 from .errors import (
     CallbackError,
     ConfigError,
@@ -62,7 +62,6 @@ __all__ = [
     "dumps",
     "get_example",
     "loads",
-    "run_node",
     "seq_example1",
     "seq_example2",
     "sim_centralized",

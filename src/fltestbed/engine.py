@@ -19,8 +19,7 @@ aggregates its collected replies with the server callback (phase III).
 fl_srv_id plays no role here.
 
 Both engines return the calling node's own local data after the final
-iteration; private data never leaves the node. run_node is the whole life
-of one node: build its instance, run one engine, shut down.
+iteration; private data never leaves the node.
 """
 
 from __future__ import annotations
@@ -34,10 +33,10 @@ from .errors import CallbackError, ConfigError, FaultInjected, UsageError
 from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT, Envelope, Phase, TcpTransport
 from .values import Value
 
-# Points at which fault injection may crash a node, named after the send
-# step just completed: centralized server broadcast / client reply,
-# decentralized phase I broadcast / phase II replies. fault_points says
-# which node passes which.
+# Points at which fault injection may crash a node: after the centralized
+# server's broadcast (srv) or a client's reply (cli), after the decentralized
+# phase I receive (p1) or before the phase II receive (p2). fault_points says
+# which node passes which; CrashingTransport fires them.
 FAULT_POINTS = ("srv", "cli", "p1", "p2")
 
 # Engine names, as the CLI and the fuzz summary print them.
@@ -50,6 +49,44 @@ def fault_points(engine: str, is_server: bool) -> tuple[str, ...]:
     if engine == DECENTRALIZED:
         return ("p1", "p2")
     return ("srv",) if is_server else ("cli",)
+
+
+class CrashingTransport:
+    """A node's transport that crashes the node at fault point `point`.
+
+    Each point is at one of its calls; the FaultInjected raised there fails
+    the run, which closes the node. Survivors of a p1 crash fail on DEC_P2.
+    """
+
+    def __init__(self, transport, node_id: int, point: str):
+        self._transport, self._node_id, self._point = transport, node_id, point
+
+    def broadcast(self, dsts, phase: Phase, iteration: int, payload: Value) -> None:
+        self._transport.broadcast(dsts, phase, iteration, payload)
+        if phase is Phase.SRV_DATA:
+            self._crash_at("srv")
+
+    def send(self, env: Envelope) -> None:
+        self._transport.send(env)
+        if env.phase is Phase.CLI_DATA:
+            self._crash_at("cli")
+
+    def recv_matching(self, phase: Phase, iteration: int, senders: tuple[int, ...]):
+        if phase is Phase.DEC_P2:
+            self._crash_at("p2")
+        envs = self._transport.recv_matching(phase, iteration, senders)
+        if phase is Phase.DEC_P1:
+            self._crash_at("p1")
+        return envs
+
+    def close(self) -> None:
+        self._transport.close()
+
+    def _crash_at(self, point: str) -> None:
+        if point == self._point:
+            raise FaultInjected(
+                f"fault injection: node {self._node_id} crashing after phase {point}"
+            )
 
 
 def check_engine(engine: str) -> None:
@@ -76,6 +113,10 @@ class FlConfig:
     def __post_init__(self):
         if not isinstance(self.no_nodes, int) or self.no_nodes < 2:
             raise ConfigError(f"no_nodes must be an integer >= 2, got {self.no_nodes!r}")
+        for name in ("node_id", "fl_srv_id", "base_port"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if not (0 <= self.node_id < self.no_nodes):
             raise ConfigError(f"node_id {self.node_id} out of range [0, {self.no_nodes})")
         if not (0 <= self.fl_srv_id < self.no_nodes):
@@ -102,11 +143,8 @@ class FlInstance:
     raises, releases the port.
     """
 
-    def __init__(self, cfg: FlConfig, transport=None, fault_after_phase: str | None = None):
-        if fault_after_phase is not None and fault_after_phase not in FAULT_POINTS:
-            raise ConfigError(f"fault_after_phase must be one of {FAULT_POINTS}")
+    def __init__(self, cfg: FlConfig, transport=None):
         self.cfg = cfg
-        self._fault_after_phase = fault_after_phase
         self._running = False
         self._closed = False
         self._lock = threading.Lock()
@@ -121,11 +159,10 @@ class FlInstance:
     ) -> Value:
         """Run the centralized engine; must be called on every node."""
         cfg = self.cfg
-        with self._begin_run(CENTRALIZED, no_iters) as peers:
+        with self._begin_run(no_iters) as peers:
             if cfg.node_id == cfg.fl_srv_id:
                 for k in range(no_iters):
                     self.transport.broadcast(peers, Phase.SRV_DATA, k, ldata)
-                    self._fault_point("srv")
                     replies = self.transport.recv_matching(Phase.CLI_DATA, k, peers)
                     msgs = [env.payload for env in replies]
                     ldata = self._call("server", k, callbacks.server, pdata, msgs)
@@ -136,7 +173,6 @@ class FlInstance:
                     self.transport.send(
                         Envelope(cfg.node_id, cfg.fl_srv_id, Phase.CLI_DATA, k, ldata)
                     )
-                    self._fault_point("cli")
             return ldata
 
     def fl_decentralized(
@@ -148,19 +184,14 @@ class FlInstance:
     ) -> Value:
         """Run the decentralized engine; must be called on every node."""
         cfg = self.cfg
-        with self._begin_run(DECENTRALIZED, no_iters) as peers:
+        with self._begin_run(no_iters) as peers:
             for k in range(no_iters):
                 start = ldata  # phase II replies are computed from this snapshot
                 self.transport.broadcast(peers, Phase.DEC_P1, k, start)
                 broadcasts = self.transport.recv_matching(Phase.DEC_P1, k, peers)
-                # "after p1" fires once phase I is complete at this node (its
-                # broadcasts sent and every peer's collected), so survivors of
-                # an injected crash always fail on the DEC_P2 exchange
-                self._fault_point("p1")
                 for env in broadcasts:
                     reply = self._call("client", k, callbacks.client, start, pdata, env.payload)
                     self.transport.send(Envelope(cfg.node_id, env.src, Phase.DEC_P2, k, reply))
-                self._fault_point("p2")
                 replies = self.transport.recv_matching(Phase.DEC_P2, k, peers)
                 msgs = [env.payload for env in replies]
                 ldata = self._call("server", k, callbacks.server, pdata, msgs)
@@ -177,22 +208,17 @@ class FlInstance:
         self.transport.close()
 
     @contextlib.contextmanager
-    def _begin_run(self, engine: str, no_iters: int):
+    def _begin_run(self, no_iters: int):
         """Mark an engine run and yield the node's peers; a run that raises closes the transport."""
         check_iters(no_iters)
-        cfg, fault = self.cfg, self._fault_after_phase
         with self._lock:
             if self._closed:
                 raise UsageError("instance already shut down")
             if self._running:
                 raise UsageError("an engine run is already in progress on this instance")
-            if fault is not None and fault not in fault_points(engine, cfg.node_id == cfg.fl_srv_id):
-                raise ConfigError(
-                    f"node {cfg.node_id} never reaches fault point {fault} in a {engine} run"
-                )
             self._running = True
         try:
-            yield tuple(i for i in range(cfg.no_nodes) if i != cfg.node_id)
+            yield tuple(i for i in range(self.cfg.no_nodes) if i != self.cfg.node_id)
         except BaseException:
             with self._lock:
                 self._running = False
@@ -211,30 +237,3 @@ class FlInstance:
             return callback(*args)
         except Exception as e:
             raise CallbackError(f"{role} callback failed at iteration {iteration}: {e}") from e
-
-    def _fault_point(self, tag: str) -> None:
-        if self._fault_after_phase == tag:
-            raise FaultInjected(
-                f"fault injection: node {self.cfg.node_id} crashing after phase {tag}"
-            )
-
-
-def run_node(
-    cfg: FlConfig,
-    engine: str,
-    callbacks: CallbackPair,
-    ldata: Value,
-    pdata: Value = None,
-    no_iters: int = 1,
-    transport=None,
-    fault_after_phase: str | None = None,
-) -> Value:
-    """One node's share of a federation on `engine`; the port is released on return."""
-    check_engine(engine)
-    inst = FlInstance(cfg, transport=transport, fault_after_phase=fault_after_phase)
-    try:
-        run = inst.fl_centralized if engine == CENTRALIZED else inst.fl_decentralized
-        return run(callbacks, ldata, pdata, no_iters)
-    finally:
-        inst.shutdown()
-

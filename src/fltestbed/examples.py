@@ -32,14 +32,15 @@ from .engine import (
     DECENTRALIZED,
     FAULT_POINTS,
     CallbackPair,
+    CrashingTransport,
     FlConfig,
+    FlInstance,
     check_engine,
     check_iters,
     fault_points,
-    run_node,
 )
 from .errors import ConfigError, SerializationError
-from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT
+from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT, TcpTransport
 from .values import Value, canonical_copy, is_number, validate_value
 
 
@@ -274,10 +275,18 @@ class Run:
         return _own_copy(self.ldata[node_id]), _own_copy(self.pdata[node_id])
 
     def run_node(self, node_id: int, transport=None) -> Value:
-        """Node `node_id`'s share of the run, over TCP unless a transport is given."""
-        fault = self.after_phase if node_id == self.fault_node else None
-        return run_node(self.config(node_id), self.engine, self.callbacks,
-                        *self.node_data(node_id), self.no_iters, transport, fault)
+        """Node `node_id`'s share of the run, over TCP unless a transport is given.
+        The fault node's transport crashes it; the port is released on return."""
+        cfg = self.config(node_id)
+        if node_id == self.fault_node:
+            transport = CrashingTransport(
+                TcpTransport(cfg) if transport is None else transport, node_id, self.after_phase)
+        inst = FlInstance(cfg, transport)
+        try:
+            run = inst.fl_centralized if self.engine == CENTRALIZED else inst.fl_decentralized
+            return run(self.callbacks, *self.node_data(node_id), self.no_iters)
+        finally:
+            inst.shutdown()
 
     def node_flags(self) -> list[str]:
         """The run flags of `fltestbed node`; the launcher adds each node's

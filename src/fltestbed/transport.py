@@ -277,18 +277,10 @@ class _Transport:
             raise UsageError("transport is closed")
         if src != self.node_id:
             raise UsageError(f"envelope src {src} does not match sending node {self.node_id}")
-        # src, phase and iter once, then each destination; a field that
-        # fails the quick test gets the first destination's full check,
-        # which raises what checking destination by destination would.
-        if dsts and not (type(src) is type(iteration) is int and (src | iteration) >= 0
-                         and type(phase) is Phase):
-            _check_route(src, dsts[0], phase, iteration)
-        no_nodes = self.no_nodes
-        for dst in dsts:
-            if not (type(dst) is int and 0 <= dst < no_nodes and dst != src):
-                _check_route(src, dst, phase, iteration)
-                if not dst < no_nodes:
-                    raise UsageError(f"envelope dst {dst} out of range for {no_nodes} nodes")
+        for dst in dsts:  # every route is checked before anything is delivered
+            _check_route(src, dst, phase, iteration)
+            if dst >= self.no_nodes:
+                raise UsageError(f"envelope dst {dst} out of range for {self.no_nodes} nodes")
         packed = self._pack(payload)  # the one validation of the payload
         for dst in dsts:
             try:

@@ -10,20 +10,28 @@ from fltestbed.engine import (
     CallbackPair,
     FlConfig,
     FlInstance,
-    run_node,
 )
 from fltestbed.errors import (
     CallbackError,
     ConfigError,
-    FaultInjected,
     ProtocolTimeout,
     UsageError,
 )
-from fltestbed.examples import get_example, sim_centralized, sim_decentralized
-from fltestbed.transport import LoopbackHub, Phase, TcpTransport
+from fltestbed.examples import Run, get_example, sim_centralized, sim_decentralized
+from fltestbed.transport import LoopbackHub, TcpTransport
 from fltestbed.values import approx_eq
 
 from conftest import alloc_base_port
+
+
+def run_instance(cfg, engine, callbacks, ldata, pdata=None, no_iters=1, transport=None):
+    """One node's engine run on its own FlInstance, shut down on return."""
+    inst = FlInstance(cfg, transport)
+    try:
+        run = inst.fl_centralized if engine == CENTRALIZED else inst.fl_decentralized
+        return run(callbacks, ldata, pdata, no_iters)
+    finally:
+        inst.shutdown()
 
 
 def run_federation(kind, no_nodes, fl_srv_id, engine, callbacks, ldata_arr,
@@ -45,8 +53,8 @@ def run_federation(kind, no_nodes, fl_srv_id, engine, callbacks, ldata_arr,
         try:
             cfg = FlConfig(no_nodes=no_nodes, node_id=i, fl_srv_id=fl_srv_id,
                            base_port=base_port, recv_timeout=recv_timeout, connect_timeout=2.0)
-            results[i] = run_node(cfg, engine, pairs[i], ldata_arr[i], pdata_arr[i], no_iters,
-                                  transport=transports[i])
+            results[i] = run_instance(cfg, engine, pairs[i], ldata_arr[i], pdata_arr[i],
+                                      no_iters, transports[i])
         except Exception as e:
             results[i] = e
 
@@ -84,12 +92,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             FlConfig(no_nodes=3, node_id=0, fl_srv_id=3)
 
-    def test_unknown_fault_point_rejected_before_any_port_is_bound(self, monkeypatch):
-        bound = []
-        monkeypatch.setattr("fltestbed.engine.TcpTransport", bound.append)
-        with pytest.raises(ConfigError, match="fault_after_phase must be one of"):
-            FlInstance(FlConfig(no_nodes=2, node_id=0), fault_after_phase="bogus")
-        assert bound == []
+    @pytest.mark.parametrize("field,value", [
+        ("node_id", 1.5), ("fl_srv_id", True), ("fl_srv_id", 0.0), ("base_port", 21000.5),
+        ("base_port", 21100.0),
+    ])
+    def test_ids_and_port_must_be_integers(self, field, value):
+        # as an envelope's ids must be; a float port would reach socket.bind
+        with pytest.raises(ConfigError) as exc:
+            FlConfig(**{"no_nodes": 3, "node_id": 0, field: value})
+        assert str(exc.value) == f"{field} must be an integer, got {value!r}"
 
     def test_instance_binds_expected_port(self):
         base = alloc_base_port(3)
@@ -401,43 +412,26 @@ class TestShutdown:
 
 
 class TestRunGuard:
-    def test_unreachable_fault_point_rejected_before_any_send(self):
-        # node 0 passes `srv` as the centralized server, never in a decentralized run
-        hub = LoopbackHub(2, recv_timeout=0.3)
-        inst = FlInstance(FlConfig(no_nodes=2, node_id=0), transport=hub.transport(0),
-                          fault_after_phase="srv")
-        peer = hub.transport(1)
-        pair = get_example(2).callbacks
-        with pytest.raises(ConfigError, match="node 0 never reaches fault point srv in a decent"):
-            inst.fl_decentralized(pair, [1])
-        with pytest.raises(ProtocolTimeout):
-            peer.recv_matching(Phase.DEC_P1, 0, (0,))
-        # the instance is neither closed nor busy: a centralized run reaches `srv`
-        with pytest.raises(FaultInjected, match="after phase srv"):
-            inst.fl_centralized(pair, [1])
-        (env,) = peer.recv_matching(Phase.SRV_DATA, 0, (0,))
-        assert env.payload == [1.0]
-
     def test_run_that_raises_releases_the_port(self):
         def bad_server(pdata, msgs):
             raise RuntimeError("boom")
 
         e2 = get_example(2)
         base = alloc_base_port(2)
-        cfgs = [FlConfig(no_nodes=2, node_id=i, fl_srv_id=0, base_port=base,
-                         recv_timeout=5.0, connect_timeout=2.0) for i in range(2)]
-        server = FlInstance(cfgs[0])
+        run = Run(CENTRALIZED, e2.callbacks, ([1.0], [2.0]), base_port=base, recv_timeout=5.0,
+                  connect_timeout=2.0)
+        server = FlInstance(run.config(0))
         client = {}
 
         def client_worker():
-            client["r"] = run_node(cfgs[1], CENTRALIZED, e2.callbacks, [2.0])
+            client["r"] = run.run_node(1)
 
         t = threading.Thread(target=client_worker, daemon=True)
         t.start()
         with pytest.raises(CallbackError, match="boom"):
             server.fl_centralized(CallbackPair(e2.callbacks.client, bad_server), [1.0])
         # no shutdown(): the failed run closed the transport itself
-        TcpTransport(cfgs[0]).close()
+        TcpTransport(run.config(0)).close()
         with pytest.raises(UsageError, match="instance already shut down"):
             server.fl_centralized(e2.callbacks, [1.0])
         t.join(10.0)
@@ -486,16 +480,15 @@ class TestRunNode:
             raise RuntimeError("boom")
 
         e2 = get_example(2)
-        pairs = [CallbackPair(e2.callbacks.client, bad_server) if server_fails else e2.callbacks,
-                 e2.callbacks]
+        pair = CallbackPair(e2.callbacks.client, bad_server) if server_fails else e2.callbacks
         base = alloc_base_port(2)
+        run = Run(CENTRALIZED, pair, ([1.0], [2.0]), base_port=base, recv_timeout=5.0,
+                  connect_timeout=2.0)
         results = [None, None]
 
         def worker(i):
-            cfg = FlConfig(no_nodes=2, node_id=i, fl_srv_id=0, base_port=base,
-                           recv_timeout=5.0, connect_timeout=2.0)
             try:
-                results[i] = run_node(cfg, CENTRALIZED, pairs[i], [float(i + 1)])
+                results[i] = run.run_node(i)
             except Exception as e:
                 results[i] = e
 
@@ -513,7 +506,3 @@ class TestRunNode:
         for i in range(2):
             TcpTransport(FlConfig(no_nodes=2, node_id=i, base_port=base)).close()
 
-    def test_unknown_engine_rejected(self):
-        cfg = FlConfig(no_nodes=2, node_id=0)
-        with pytest.raises(ConfigError):
-            run_node(cfg, "centralized", get_example(2).callbacks, [1.0])

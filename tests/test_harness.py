@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 import threading
@@ -7,10 +9,10 @@ from dataclasses import replace
 
 import pytest
 
-from fltestbed.engine import CENTRALIZED, DECENTRALIZED, CallbackPair
+from fltestbed.engine import CENTRALIZED, DECENTRALIZED, CallbackPair, fault_points
 from fltestbed.errors import ConfigError, TransportError
-from fltestbed.examples import EXAMPLES, Run, ex2_client, ex2_server
-from fltestbed.launcher import NodeOutcome
+from fltestbed.examples import EXAMPLES, Run, ex2_client, ex2_server, example_run
+from fltestbed.launcher import LaunchSpec, NodeOutcome, node_argv
 from fltestbed.transport import Phase, _MessageBuffer
 from fltestbed.values import loads
 from fltestbed.harness import (
@@ -59,11 +61,11 @@ class TestRunAndVerifyInproc:
 
     @pytest.mark.parametrize("mode", [MODE_INPROC, MODE_PROC])
     def test_bad_fault_point_fails_before_any_node_starts(self, mode, monkeypatch):
-        from fltestbed import engine, harness
+        from fltestbed import examples, harness
 
         started = []
         monkeypatch.setattr(harness, "launch_all", started.append)
-        monkeypatch.setattr(engine, "FlInstance", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(examples, "FlInstance", lambda *a, **k: started.append(a))
         with pytest.raises(ConfigError, match="fault point must be one of"):
             run_and_verify(3, mode, kill_node=1, after_phase="bogus")
         assert started == []
@@ -131,6 +133,58 @@ class TestRunAndVerifyProc:
         assert not report.overall_match
         assert "fault injection" in report.per_node[1].diagnostic
         assert report.per_node[0].match is True
+
+
+def _diagnostic(mode: str, node_id: int, error: str, text: str) -> str:
+    """How a node's `error` with message `text` reads in a report of `mode`."""
+    if mode == MODE_INPROC:
+        return f"{error}: {text}"
+    return f"node {node_id} exited {2 if error == 'ProtocolTimeout' else 1}: error: {text}"
+
+
+def _survivor_verdict_allowed(mode: str, point: str, fault_node: int, verdict) -> bool:
+    """Whether a survivor's verdict is one that a crash at `point` allows."""
+    if verdict.diagnostic is None:
+        return verdict.match and point != "p1"
+    if point == "srv":
+        return verdict.diagnostic.startswith(_diagnostic(
+            mode, verdict.node_id, "TransportError",
+            f"send to node {fault_node} failed (CLI_DATA iteration 0)"))
+    if point not in ("p1", "p2"):
+        return False
+    timeout = re.escape(_diagnostic(mode, verdict.node_id, "ProtocolTimeout", "timeout after "))
+    return bool(re.match(timeout + r"[0-9.]+s waiting for \d+ DEC_P2 envelope\(s\) at "
+                                   r"iteration 0: ", verdict.diagnostic)) \
+        or verdict.diagnostic.startswith(_diagnostic(
+            mode, verdict.node_id, "TransportError",
+            f"send to node {fault_node} failed (DEC_P2 iteration 0)"))
+
+
+class TestFaultOutcomes:
+    """Every reachable fault pair of the built-in examples' canonical runs."""
+
+    @pytest.mark.parametrize("example_id,fault_node,point,mode", [
+        (2, 0, "srv", MODE_INPROC),
+        (2, 1, "cli", MODE_INPROC),
+        (1, 2, "srv", MODE_INPROC),
+        (1, 0, "cli", MODE_INPROC),
+        (3, 1, "p1", MODE_INPROC),
+        (3, 1, "p2", MODE_INPROC),
+        (3, 1, "p2", MODE_PROC),
+    ])
+    def test_crash_and_survivor_verdicts(self, example_id, fault_node, point, mode, base_port):
+        timeout = 0.5 if mode == MODE_INPROC else 2.0
+        report = run_and_verify(example_id, mode, base_port=base_port, kill_node=fault_node,
+                                after_phase=point, recv_timeout=timeout, connect_timeout=2.0)
+        crashed = report.per_node[fault_node]
+        assert crashed.diagnostic == _diagnostic(
+            mode, fault_node, "FaultInjected",
+            f"fault injection: node {fault_node} crashing after phase {point}")
+        assert crashed.distributed is None and not crashed.match
+        for v in report.per_node:
+            if v.node_id != fault_node:
+                assert _survivor_verdict_allowed(mode, point, fault_node, v), \
+                    (v.node_id, v.diagnostic)
 
 
 class TestReportFormat:
@@ -382,6 +436,14 @@ class TestRun:
         assert [v.diagnostic for v in report.per_node[:2]] == \
             [f"FlError: node {i} engine thread did not finish" for i in range(2)]
 
+    def test_invalid_payload_is_handed_on_uncopied_for_the_send_to_reject(self):
+        run = Run(CENTRALIZED, _MEAN, ([math.inf], [1.0], [2.0]), recv_timeout=0.3)
+        assert run.node_data(0)[0] is run.ldata[0]
+        report = verify_run(run, MODE_INPROC)
+        assert report.per_node[0].diagnostic == \
+            "SerializationError: non-finite number in payload: inf"
+        assert [v.oracle for v in report.per_node] == [None] * 3
+
     def test_proc_mode_needs_a_built_in_example(self, monkeypatch):
         from fltestbed import harness
 
@@ -399,6 +461,10 @@ class TestRun:
         ({"fault_node": 1}, "must be given together"),
         ({"fault_node": 0, "after_phase": "cli"}, "node 0 never reaches fault point cli"),
         ({"no_iters": 0}, "no_iters must be >= 1"),
+        # a proc node could not parse these flags
+        ({"base_port": 21100.0}, "base_port must be an integer, got 21100.0"),
+        ({"fl_srv_id": 0.0}, "fl_srv_id must be an integer, got 0.0"),
+        ({"fl_srv_id": True}, "fl_srv_id must be an integer, got True"),
     ])
     def test_bad_run_rejected_when_built(self, case):
         kwargs, reason = case
@@ -495,6 +561,36 @@ class TestCli:
         assert res.stdout == ('{"engine":"cent","trials":5,"passed":5,"failed":0,'
                               '"orderingViolations":0,"seed":1,"failures":[]}\n')
 
+    def test_node_argv_rebuilds_the_run(self):
+        # canonical and seeded data, default and non-default settings, with
+        # and without each fault pair the run's nodes reach: a node process
+        # rebuilds the run, fault pair included, that Run checked
+        from fltestbed.cli import _example_run, build_parser
+
+        runs = []
+        settings = ({}, {"no_iters": 2, "base_port": 7000, "recv_timeout": 1.5,
+                         "connect_timeout": 2.5})
+        for example_id in EXAMPLES:
+            for no_nodes, seed in ((3, None), (4, 5)):
+                for kwargs in settings:
+                    run = example_run(example_id, no_nodes, seed=seed, **kwargs)
+                    runs += [run] + [
+                        example_run(example_id, no_nodes, seed=seed, fault_node=node,
+                                    after_phase=point, **kwargs)
+                        for node in range(no_nodes)
+                        for point in fault_points(run.engine, node == run.fl_srv_id)]
+        # example 1's canonical server is node 2, clamped to node 1 in a 2-node run
+        runs.append(example_run(1, 2, seed=1))
+        assert runs[-1].fl_srv_id == 1
+        parser = build_parser()
+        for run in runs:
+            spec = LaunchSpec(program=("node", *run.node_flags()), no_nodes=run.no_nodes,
+                              fl_srv_id=run.fl_srv_id, base_port=run.base_port)
+            for node_id in range(run.no_nodes):
+                args = parser.parse_args(node_argv(spec, node_id))
+                assert args.node_id == node_id
+                assert _example_run(args) == run, node_argv(spec, node_id)
+
     def test_launch_and_verify_build_the_same_node_program(self, monkeypatch):
         from fltestbed import cli, harness
 
@@ -553,13 +649,13 @@ class TestCli:
           "--after-phase", "cli"], "node 1 never reaches fault point cli in a cent run"),
     ])
     def test_bad_run_fails_before_any_node_starts(self, case, monkeypatch, capsys):
-        from fltestbed import cli, engine, harness
+        from fltestbed import cli, examples, harness
 
         argv, reason = case
 
         started = []
         monkeypatch.setattr(harness, "launch_all", started.append)
-        monkeypatch.setattr(engine, "FlInstance", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(examples, "FlInstance", lambda *a, **k: started.append(a))
         assert cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert err.splitlines() == [err.strip()] and err.startswith("error: ")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from fltestbed import transport, values
-from fltestbed.engine import CENTRALIZED, FlConfig, run_node
+from fltestbed.engine import CENTRALIZED, FlConfig
 from fltestbed.errors import (
     ConfigError,
     ParseError,
@@ -19,7 +19,7 @@ from fltestbed.errors import (
     TransportError,
     UsageError,
 )
-from fltestbed.examples import EXAMPLES
+from fltestbed.examples import EXAMPLES, Run
 from fltestbed.transport import (
     Envelope,
     LoopbackHub,
@@ -166,12 +166,12 @@ def test_tcp_round_encodes_once_per_send_and_decodes_once_per_frame(monkeypatch)
     for name in calls:
         monkeypatch.setattr(transport, name, counted(name))
     base = alloc_base_port(4)
-    ldata = [[float(i)] for i in range(4)]
+    run = Run(CENTRALIZED, EXAMPLES[2].callbacks, [[float(i)] for i in range(4)],
+              base_port=base, recv_timeout=10.0)
     results: list = [None] * 4
 
     def node(i):
-        cfg = FlConfig(no_nodes=4, node_id=i, base_port=base, recv_timeout=10.0)
-        results[i] = run_node(cfg, CENTRALIZED, EXAMPLES[2].callbacks, ldata[i])
+        results[i] = run.run_node(i)
 
     threads = [threading.Thread(target=node, args=(i,)) for i in range(4)]
     for t in threads:

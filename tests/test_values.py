@@ -92,6 +92,16 @@ class TestLoads:
             loads("1.5x")
         assert exc.value.offset == 3
 
+    @pytest.mark.parametrize("text,message", [
+        ("[1]2", "malformed payload: Extra data (byte offset 3)"),
+        ("[1,2", "malformed payload: Expecting ',' delimiter (byte offset 4)"),
+        ("[1\u00e9]", "non-ASCII byte in payload text (byte offset 2)"),
+    ])
+    def test_error_texts(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            loads(text)
+        assert str(exc.value) == message
+
     def test_rejects_json_but_not_payload(self):
         for bad in ('"str"', "true", "{}", "NaN", "Infinity"):
             with pytest.raises(ParseError):
