@@ -8,10 +8,11 @@
 node, launch and verify share their run flags, and each builds one
 examples.Run from them with examples.example_run. Building it makes every
 check a node would make, so a bad run (a half fault pair, a node count
-without a dataset, ports out of range, a timeout that is not positive,
---iters 0) exits 1 with one `error:` line before any node starts. A node
-calls run.run_node; launch and verify --mode proc spawn the nodes through
-harness.launch_federation, and verify --mode inproc runs them on threads.
+without a dataset, ports out of range, a timeout that is not a positive
+finite number, --iters 0) exits 1 with one `error:` line before any node
+starts. A node calls run.run_node; launch and verify --mode proc spawn the
+nodes through harness.launch_federation, and verify --mode inproc runs them
+on threads.
 Only launch, verify and fuzz import harness, so a node process loads the
 node library alone.
 

@@ -20,17 +20,26 @@ fl_srv_id plays no role here.
 
 Both engines return the calling node's own local data after the final
 iteration; private data never leaves the node.
+
+Engine runs that share one process share its interpreter lock, so while two
+or more are live (in-process verification, fuzzing, node threads) all their
+threads run on one CPU: on several CPUs every message would pay a cross-CPU
+handoff of the lock. A run alone in its process, such as a node process,
+keeps the kernel's placement, and each thread gets its CPU set back when
+its run ends. The cost: a callback that releases the lock for long C work
+(numpy, say) does not run in parallel with other in-process nodes.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 from dataclasses import dataclass
 from typing import Callable
 
 from .errors import CallbackError, ConfigError, FaultInjected, UsageError
-from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT, Envelope, Phase, TcpTransport
+from .transport import CONNECT_TIMEOUT, RECV_TIMEOUT, Envelope, Phase, TcpTransport, check_timeout
 from .values import Value
 
 # Points at which fault injection may crash a node: after the centralized
@@ -89,12 +98,65 @@ class CrashingTransport:
             )
 
 
+# The threads of the live engine runs of this process: native thread id ->
+# the CPU set to restore when its run ends, None while it is not pinned.
+# Module state, not instance state, because the interpreter lock the runs
+# share is per process.
+_run_threads: dict[int, set[int] | None] = {}
+_run_threads_lock = threading.Lock()
+_shared_cpu = 0  # the CPU of every pinned thread while any is pinned
+
+
+def _enter_run() -> int | None:
+    """Register the calling thread's run; with two or more live, pin them all to one CPU.
+
+    Returns the thread's native id, or None when there is nothing to undo:
+    no affinity calls on this platform, or a run already live on this thread.
+    A thread that cannot be pinned stays as it is.
+    """
+    global _shared_cpu
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    tid = threading.get_native_id()
+    with _run_threads_lock:
+        if tid in _run_threads:
+            return None
+        _run_threads[tid] = None
+        if len(_run_threads) > 1:
+            if all(saved is None for saved in _run_threads.values()):
+                _shared_cpu = min(os.sched_getaffinity(0))
+            for other in [t for t, saved in _run_threads.items() if saved is None]:
+                with contextlib.suppress(OSError):
+                    saved = os.sched_getaffinity(other)
+                    os.sched_setaffinity(other, {_shared_cpu})
+                    _run_threads[other] = saved
+    return tid
+
+
+def _leave_run(tid: int | None) -> None:
+    """Unregister a thread that _enter_run registered and give it back its CPU set."""
+    if tid is None:
+        return
+    with _run_threads_lock:
+        saved = _run_threads.pop(tid)
+        if saved is not None:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(tid, saved)
+
+
 def check_engine(engine: str) -> None:
     if engine not in (CENTRALIZED, DECENTRALIZED):
         raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
 
 
+def check_int(name: str, value) -> None:
+    """`value` is an int; a bool, which Python counts as one, is not."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def check_iters(no_iters: int) -> None:
+    check_int("no_iters", no_iters)
     if no_iters < 1:
         raise ConfigError(f"no_iters must be >= 1, got {no_iters}")
 
@@ -114,17 +176,15 @@ class FlConfig:
         if not isinstance(self.no_nodes, int) or self.no_nodes < 2:
             raise ConfigError(f"no_nodes must be an integer >= 2, got {self.no_nodes!r}")
         for name in ("node_id", "fl_srv_id", "base_port"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            check_int(name, getattr(self, name))
         if not (0 <= self.node_id < self.no_nodes):
             raise ConfigError(f"node_id {self.node_id} out of range [0, {self.no_nodes})")
         if not (0 <= self.fl_srv_id < self.no_nodes):
             raise ConfigError(f"fl_srv_id {self.fl_srv_id} out of range [0, {self.no_nodes})")
         if not (0 < self.base_port and self.base_port + self.no_nodes - 1 <= 65535):
             raise ConfigError(f"port range {self.base_port}..+{self.no_nodes - 1} out of bounds")
-        if self.recv_timeout <= 0 or self.connect_timeout <= 0:
-            raise ConfigError("timeouts must be positive")
+        check_timeout("timeouts", self.recv_timeout)
+        check_timeout("timeouts", self.connect_timeout)
 
 
 @dataclass(frozen=True)
@@ -209,7 +269,10 @@ class FlInstance:
 
     @contextlib.contextmanager
     def _begin_run(self, no_iters: int):
-        """Mark an engine run and yield the node's peers; a run that raises closes the transport."""
+        """Mark an engine run and yield the node's peers; a run that raises closes the transport.
+
+        While the run is live its thread counts towards the runs that share one CPU.
+        """
         check_iters(no_iters)
         with self._lock:
             if self._closed:
@@ -217,6 +280,7 @@ class FlInstance:
             if self._running:
                 raise UsageError("an engine run is already in progress on this instance")
             self._running = True
+        tid = _enter_run()
         try:
             yield tuple(i for i in range(self.cfg.no_nodes) if i != self.cfg.node_id)
         except BaseException:
@@ -228,6 +292,8 @@ class FlInstance:
                 with contextlib.suppress(Exception):
                     self.transport.close()
             raise
+        finally:
+            _leave_run(tid)
         with self._lock:
             self._running = False
 

@@ -36,6 +36,7 @@ from .engine import (
     FlConfig,
     FlInstance,
     check_engine,
+    check_int,
     check_iters,
     fault_points,
 )
@@ -241,8 +242,10 @@ class Run:
         check_engine(self.engine)
         if (self.fault_node is None) != (self.after_phase is None):
             raise ConfigError("the fault node and the fault point must be given together")
-        if self.fault_node is not None and not (0 <= self.fault_node < self.no_nodes):
-            raise ConfigError(f"fault node {self.fault_node} out of range [0, {self.no_nodes})")
+        if self.fault_node is not None:
+            check_int("fault_node", self.fault_node)
+            if not (0 <= self.fault_node < self.no_nodes):
+                raise ConfigError(f"fault node {self.fault_node} out of range [0, {self.no_nodes})")
         if self.after_phase not in (None, *FAULT_POINTS):
             raise ConfigError(f"fault point must be one of {FAULT_POINTS}, got {self.after_phase!r}")
         if self.pdata is None:

@@ -35,7 +35,7 @@ from .examples import (
     sim_decentralized,
 )
 from .launcher import LaunchResult, LaunchSpec, NodeOutcome, launch_all
-from .transport import LoopbackHub
+from .transport import LoopbackHub, check_timeout
 from .values import Value, approx_eq, dumps, format_number, loads, validate_value
 
 MODE_INPROC = "inproc"
@@ -164,6 +164,7 @@ def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport
     """
     if mode not in (MODE_INPROC, MODE_PROC):
         raise ConfigError(f"mode must be '{MODE_INPROC}' or '{MODE_PROC}', got {mode!r}")
+    check_timeout("per_node_timeout", per_node_timeout)
     no_nodes = run.no_nodes
     started = time.monotonic()
     if mode == MODE_INPROC:

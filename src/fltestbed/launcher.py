@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import ConfigError, LaunchError
+from .transport import check_timeout
 
 TERMINATION_GRACE = 2.0
 
@@ -34,8 +35,7 @@ class LaunchSpec:
             raise ConfigError(f"a federation needs at least 2 nodes, got {self.no_nodes}")
         if not (0 <= self.fl_srv_id < self.no_nodes):
             raise ConfigError(f"fl_srv_id {self.fl_srv_id} out of range [0, {self.no_nodes})")
-        if self.per_node_timeout <= 0:
-            raise ConfigError("per_node_timeout must be positive")
+        check_timeout("per_node_timeout", self.per_node_timeout)
 
 
 @dataclass

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 import re
 import selectors
 import socket
@@ -45,7 +46,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ParseError, ProtocolTimeout, TransportError, UsageError
+from .errors import ConfigError, ParseError, ProtocolTimeout, TransportError, UsageError
 from .values import Value, canonical_copy, dumps, loads, validate_value
 
 if TYPE_CHECKING:
@@ -106,6 +107,14 @@ class Envelope:
 # messages of one receive to arrive.
 CONNECT_TIMEOUT = 5.0
 RECV_TIMEOUT = 30.0
+
+
+def check_timeout(name: str, seconds: float) -> None:
+    """A timeout is a positive, finite number of seconds; `name` leads the error text."""
+    if seconds <= 0:
+        raise ConfigError(f"{name} must be positive")
+    if not math.isfinite(seconds):
+        raise ConfigError(f"{name} must be finite, got {seconds}")
 
 
 _LENGTH = struct.Struct("!I")
@@ -481,6 +490,7 @@ class LoopbackHub:
     def __init__(self, no_nodes: int, recv_timeout: float = RECV_TIMEOUT):
         if no_nodes < 2:
             raise UsageError(f"a federation needs at least 2 nodes, got {no_nodes}")
+        check_timeout("recv_timeout", recv_timeout)
         self.no_nodes = no_nodes
         self.recv_timeout = recv_timeout
         self._buffers = [_MessageBuffer() for _ in range(no_nodes)]

@@ -335,6 +335,13 @@ class TestFailurePaths:
         with pytest.raises(ConfigError, match="no_iters must be >= 1, got 0"):
             inst.fl_decentralized(e2.callbacks, [1], no_iters=0)
 
+    @pytest.mark.parametrize("no_iters", [2.0, True])
+    def test_no_iters_must_be_an_integer(self, no_iters):
+        inst = FlInstance(FlConfig(no_nodes=2, node_id=0), transport=_DummyTransport())
+        with pytest.raises(ConfigError, match=f"no_iters must be an integer, got {no_iters}"):
+            inst.fl_centralized(get_example(2).callbacks, [1], no_iters=no_iters)
+        inst.shutdown()
+
 
 class _DummyTransport:
     def close(self):

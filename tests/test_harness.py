@@ -444,6 +444,20 @@ class TestRun:
             "SerializationError: non-finite number in payload: inf"
         assert [v.oracle for v in report.per_node] == [None] * 3
 
+    @pytest.mark.parametrize("mode", [MODE_INPROC, MODE_PROC])
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -1.0])
+    def test_deadline_that_is_not_positive_and_finite_fails_before_any_node_starts(
+            self, mode, seconds, monkeypatch):
+        # in-process, a nan or negative deadline reported a running node as not finished
+        from fltestbed import examples, harness
+
+        started = []
+        monkeypatch.setattr(harness, "launch_all", started.append)
+        monkeypatch.setattr(examples, "FlInstance", lambda *a, **k: started.append(a))
+        with pytest.raises(ConfigError, match="per_node_timeout must be"):
+            verify_run(EXAMPLES[2], mode, per_node_timeout=seconds)
+        assert started == []
+
     def test_proc_mode_needs_a_built_in_example(self, monkeypatch):
         from fltestbed import harness
 
@@ -465,6 +479,10 @@ class TestRun:
         ({"base_port": 21100.0}, "base_port must be an integer, got 21100.0"),
         ({"fl_srv_id": 0.0}, "fl_srv_id must be an integer, got 0.0"),
         ({"fl_srv_id": True}, "fl_srv_id must be an integer, got True"),
+        ({"no_iters": 2.0}, "no_iters must be an integer, got 2.0"),
+        ({"no_iters": True}, "no_iters must be an integer, got True"),
+        ({"fault_node": 1.0, "after_phase": "cli"}, "fault_node must be an integer, got 1.0"),
+        ({"fault_node": True, "after_phase": "cli"}, "fault_node must be an integer, got True"),
     ])
     def test_bad_run_rejected_when_built(self, case):
         kwargs, reason = case
@@ -660,6 +678,33 @@ class TestCli:
         out, err = capsys.readouterr()
         assert err.splitlines() == [err.strip()] and err.startswith("error: ")
         assert reason in err
+        assert "usage:" not in out + err
+        assert started == []
+
+    # every timeout flag with a value that is not a finite number of seconds
+    @pytest.mark.parametrize("argv", [
+        [*cmd, f"{flag}={value}"]
+        for cmd, flags in [
+            (["verify", "--example", "2", "--mode", "inproc"], ("--recv-timeout", "--connect-timeout")),
+            (["verify", "--example", "2", "--mode", "proc"], ("--recv-timeout", "--connect-timeout")),
+            (["launch", "--example", "2"], ("--timeout",)),
+        ]
+        for flag in flags
+        for value in ("nan", "inf", "-inf")
+    ])
+    def test_timeout_that_is_not_finite_fails_before_any_node_starts(self, argv, monkeypatch,
+                                                                     capsys):
+        from fltestbed import cli, examples, harness
+
+        started = []
+        monkeypatch.setattr(harness, "launch_all", started.append)
+        monkeypatch.setattr(examples, "FlInstance", lambda *a, **k: started.append(a))
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        value = argv[-1].split("=")[1]
+        assert err.strip().endswith("must be positive" if value == "-inf" else
+                                    f"must be finite, got {value}")
         assert "usage:" not in out + err
         assert started == []
 

@@ -897,3 +897,12 @@ class TestTcpReassembly:
                   frames[1][half:] + frames[2] + frames[3][:3],
                   frames[3][3:]]
         self._receive(chunks, range(4))
+
+
+@pytest.mark.parametrize("seconds", [math.nan, math.inf, -math.inf, 0.0])
+def test_loopback_hub_rejects_a_timeout_that_is_not_positive_and_finite(seconds):
+    # a nan wait never ends and an inf one overflows the clock
+    with pytest.raises(ConfigError) as exc:
+        LoopbackHub(2, recv_timeout=seconds)
+    assert str(exc.value) == ("recv_timeout must be positive" if seconds <= 0 else
+                              f"recv_timeout must be finite, got {seconds}")
