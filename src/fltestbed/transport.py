@@ -121,7 +121,7 @@ _LENGTH = struct.Struct("!I")
 # Bytes read per ready socket and select round. Larger reads cost more than
 # they save: recv allocates the full chunk on every call.
 _RECV_CHUNK = 64 * 1024
-# Longest sleep between connect attempts; the backoff starts at 1 ms.
+# Longest wait between connect attempts; the backoff starts at 1 ms.
 _RETRY_MAX = 0.1
 # The header _frame writes: canonical key order, no whitespace, no leading zeros.
 _HEADER = re.compile(
@@ -328,8 +328,10 @@ class TcpTransport(_Transport):
     large frames cannot deadlock. Between calls nobody reads; inbound bytes
     wait in the kernel. Outbound connections are made on the first send to
     a peer, retrying with exponential backoff from 1 ms up to 0.1 s
-    until connect_timeout; a peer that this node has received a frame
-    from has already bound, so its refused connect fails the send at once.
+    until connect_timeout and reading frames between attempts; a peer that
+    this node has received a frame from has already bound, so a first
+    frame from it ends the wait and its refused connect fails the send at
+    once.
     """
 
     def __init__(self, cfg: FlConfig):
@@ -433,7 +435,10 @@ class TcpTransport(_Transport):
                         f"node {dst} unreachable on port {port} after "
                         f"{self.cfg.connect_timeout}s: {e}"
                     ) from e
-                time.sleep(delay)
+                # read frames meanwhile; a first one from dst shows that it has bound
+                wake, heard = min(time.monotonic() + delay, deadline), dst in self._heard
+                while (left := wake - time.monotonic()) > 0 and (heard or dst not in self._heard):
+                    self._pump(left)
                 delay = min(2 * delay, _RETRY_MAX)
 
     def _send_all(self, sock: socket.socket, frame: bytes) -> None:

@@ -64,3 +64,41 @@ def no_engine_run_left_behind():
     assert engine._run_threads == {}, "an engine run is still registered after the test"
     if cpus is not None:
         assert os.sched_getaffinity(0) == cpus, "the test thread's CPU set changed"
+
+
+def process_cmdlines() -> dict[int, str]:
+    """Pid -> command line of every process: psutil if installed, else /proc."""
+    try:
+        import psutil
+    except ImportError:
+        psutil = None
+    if psutil is not None:
+        found = {}
+        for proc in psutil.process_iter(["pid", "cmdline"]):
+            try:
+                found[proc.info["pid"]] = " ".join(proc.info["cmdline"] or [])
+            except (psutil.NoSuchProcess, psutil.AccessDenied):
+                continue
+        return found
+    if not os.path.isdir("/proc"):
+        pytest.skip("needs psutil or /proc to list processes")
+    found = {}
+    for pid in os.listdir("/proc"):
+        if not pid.isdigit():
+            continue
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                raw = f.read()
+        except OSError:  # exited meanwhile, or not ours to read
+            continue
+        found[int(pid)] = " ".join(arg.decode(errors="replace") for arg in raw.split(b"\0") if arg)
+    return found
+
+
+def zygote_family(launcher_pid: int) -> set[int]:
+    """Pids of the node zygote that `launcher_pid` started and of every node it forked.
+
+    A forked node keeps the zygote's command line, which names the launcher.
+    """
+    marker = f"-m fltestbed.zygote {launcher_pid} "
+    return {pid for pid, cmdline in process_cmdlines().items() if marker in cmdline}

@@ -5,7 +5,6 @@ Every tolerance is pinned here; nothing defers to later calibration.
 """
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -24,7 +23,7 @@ from fltestbed.harness import (
 from fltestbed.transport import Envelope, Phase, decode_frame, encode_frame
 from fltestbed.values import approx_eq, dumps, loads
 
-from conftest import alloc_base_port
+from conftest import alloc_base_port, process_cmdlines, zygote_family
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -141,55 +140,35 @@ def test_criterion_6_server_ordering_contract(fuzz_summaries):
     _verdict(6, "server msgs observed sorted by ascending src in 100/100 trials, both engines")
 
 
-def _process_cmdlines() -> list[str]:
-    """Command line of every process: psutil if installed, else /proc."""
-    try:
-        import psutil
-    except ImportError:
-        psutil = None
-    if psutil is not None:
-        found = []
-        for proc in psutil.process_iter(["cmdline"]):
-            try:
-                found.append(" ".join(proc.info["cmdline"] or []))
-            except (psutil.NoSuchProcess, psutil.AccessDenied):
-                continue
-        return found
-    if not os.path.isdir("/proc"):
-        pytest.skip("needs psutil or /proc to list processes")
-    found = []
-    for pid in os.listdir("/proc"):
-        if not pid.isdigit():
-            continue
-        try:
-            with open(f"/proc/{pid}/cmdline", "rb") as f:
-                raw = f.read()
-        except OSError:  # exited meanwhile, or not ours to read
-            continue
-        found.append(" ".join(arg.decode(errors="replace") for arg in raw.split(b"\0") if arg))
-    return found
-
-
 def test_criterion_7_kill_node_failure_handling():
     port = alloc_base_port()
     recv_timeout = 3.0
     started = time.monotonic()
-    res = run_cli("verify", "--example", "3", "--mode", "proc",
-                  "--base-port", str(port),
-                  "--kill-node", "1", "--after-phase", "p1",
-                  "--recv-timeout", str(recv_timeout), "--connect-timeout", "3",
-                  timeout=recv_timeout + 30.0)
+    # Popen, not run_cli: the test needs the CLI's pid to find the node
+    # zygote it started, whose command line every forked node keeps
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "fltestbed", "verify", "--example", "3", "--mode", "proc",
+         "--base-port", str(port), "--kill-node", "1", "--after-phase", "p1",
+         "--recv-timeout", str(recv_timeout), "--connect-timeout", "3"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        stdout, _ = cli.communicate(timeout=recv_timeout + 30.0)
+    finally:
+        cli.kill()
+        cli.wait()
     elapsed = time.monotonic() - started
     assert elapsed < recv_timeout + 5.0, f"took {elapsed:.2f}s"
-    assert res.returncode == 1
-    report = json.loads(res.stdout)
+    assert cli.returncode == 1
+    report = json.loads(stdout)
     assert report["overallMatch"] is False
     diagnostics = [v["diagnostic"] for v in report["perNode"] if v["nodeId"] != 1]
     assert all(d is not None and "1" in d for d in diagnostics)
     assert any("DEC_P2" in d for d in diagnostics), diagnostics
     marker = f"--base-port {port}"
-    for cmdline in _process_cmdlines():
+    for cmdline in process_cmdlines().values():
         assert marker not in cmdline, f"leftover process: {cmdline}"
+    assert zygote_family(cli.pid) == set(), "leftover node zygote or forked node"
     _verdict(7, f"killed node 1 detected (waiting phase DEC_P2) in {elapsed:.2f}s, no survivors")
 
 

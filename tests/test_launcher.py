@@ -1,12 +1,20 @@
+import json
+import locale
+import os
+import signal
+import subprocess
 import sys
 import time
 
 import pytest
 
+from fltestbed import launcher
 from fltestbed.errors import ConfigError, LaunchError
+from fltestbed.examples import example_run
+from fltestbed.harness import launch_federation
 from fltestbed.launcher import LaunchSpec, launch_all, node_argv
 
-from conftest import alloc_base_port
+from conftest import alloc_base_port, zygote_family
 
 
 def _node_program(example: int, extra: tuple[str, ...] = ()) -> tuple[str, ...]:
@@ -117,3 +125,129 @@ class TestTimeouts:
         assert result.outcome(2).exit_code == 0
         assert "done 0" in result.outcome(0).stdout
         assert result.outcome(1).exit_code != 0
+
+    def test_hung_forked_node_is_terminated_within_grace(self):
+        # node 1 crashes after phase I; its peers would wait 30 s for its
+        # phase II replies, far past the 1 s deadline
+        run = example_run(3, 3, base_port=alloc_base_port(3), recv_timeout=30.0,
+                          fault_node=1, after_phase="p1")
+        started = time.monotonic()
+        result = launch_federation(run, per_node_timeout=1.0)
+        elapsed = time.monotonic() - started
+        assert [o.timed_out for o in result.per_node] == [True, False, True]
+        assert [o.exit_code for o in result.per_node] == [-signal.SIGTERM, 1, -signal.SIGTERM]
+        assert "error:" in result.outcome(1).stderr
+        assert not result.overall_success
+        assert elapsed < 1.0 + launcher.TERMINATION_GRACE
+
+
+# A sitecustomize that makes every process started with it on its path record,
+# when its program ends, what it loaded and who its parent is. The zygote
+# leaves with os._exit, so only the nodes it forks write a record.
+PROBE_SITE = """
+import atexit, json, os, sys
+
+def _record():
+    with open(f"/proc/{os.getppid()}/status") as f:
+        threads = int(next(ln.split()[1] for ln in f if ln.startswith("Threads:")))
+    with open(os.path.join(os.environ["NODE_PROBE_DIR"], f"{os.getpid()}.json"), "w") as f:
+        json.dump({"ppid": os.getppid(), "parent_threads": threads, "modules": sorted(sys.modules)}, f)
+
+atexit.register(_record)
+"""
+
+
+@pytest.mark.skipif(not launcher._CAN_FORK, reason="node programs are spawned on this platform")
+class TestForkedNodes:
+    @pytest.fixture
+    def probed_launch(self, tmp_path, monkeypatch):
+        """Records of the nodes of one launch of example 2, and the launch result."""
+        site, records = tmp_path / "site", tmp_path / "records"
+        site.mkdir()
+        records.mkdir()
+        (site / "sitecustomize.py").write_text(PROBE_SITE)
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(site), os.environ["PYTHONPATH"]]))
+        monkeypatch.setenv("NODE_PROBE_DIR", str(records))
+        result = launch_federation(example_run(2, 3, base_port=alloc_base_port(3)))
+        assert result.overall_success
+        return [json.loads(p.read_text()) for p in sorted(records.iterdir())]
+
+    def test_nodes_are_forked_by_a_one_thread_zygote(self, probed_launch):
+        assert len(probed_launch) == 3
+        (zygote,) = {record["ppid"] for record in probed_launch}
+        assert zygote in zygote_family(os.getpid())
+        assert all(record["parent_threads"] == 1 for record in probed_launch)
+
+    def test_forked_node_loads_only_the_node_library(self, probed_launch):
+        # the forked counterpart of test_node_process_loads_only_the_node_library
+        for record in probed_launch:
+            assert {"fltestbed.harness", "fltestbed.launcher", "subprocess"}.isdisjoint(
+                record["modules"])
+            assert "fltestbed.cli" in record["modules"]
+
+    @pytest.mark.parametrize("flags", [
+        ("--example", "2"),
+        ("--example", "3", "--seed", "4", "--iters", "2"),
+        ("--example", "2", "--iters", "0"),  # a bad run: one `error:` line, exit 1
+        ("--example", "9"),  # argparse: usage on stderr, exit 2
+    ])
+    def test_forked_node_gives_what_a_spawned_one_gives(self, flags):
+        # `-m fltestbed.__main__` runs the same node program in a fresh interpreter
+        outcomes = []
+        for module in ("fltestbed", "fltestbed.__main__"):
+            spec = LaunchSpec((sys.executable, "-m", module, "node", *flags), no_nodes=3,
+                              fl_srv_id=0, base_port=alloc_base_port(3), per_node_timeout=30.0)
+            outcomes.append([(o.exit_code, o.stdout, o.stderr, o.timed_out)
+                             for o in launch_all(spec).per_node])
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0][1] or outcomes[0][0][2]
+
+    def test_one_warm_zygote_follows_the_environment(self, monkeypatch):
+        def launch():
+            assert launch_federation(example_run(2, 3, base_port=alloc_base_port(3))).overall_success
+            return zygote_family(os.getpid())
+
+        first = launch()
+        assert len(first) == 1  # the nodes have exited; the zygote stays warm
+        assert launch() == first
+        monkeypatch.setenv("FLTESTBED_PROBE", "1")
+        second = launch()
+        assert len(second) == 1 and second != first
+
+    def test_no_zygote_or_node_outlives_its_launcher(self):
+        def verify(*flags):
+            return subprocess.Popen(
+                [sys.executable, "-m", "fltestbed", "verify", "--mode", "proc",
+                 "--base-port", str(alloc_base_port(3)), *flags],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+        done = verify("--example", "2")
+        assert done.communicate(timeout=60)[0]
+        assert done.returncode == 0
+        assert zygote_family(done.pid) == set()
+
+        # its surviving nodes wait 30 s for the crashed node 1
+        killed = verify("--example", "3", "--kill-node", "1", "--after-phase", "p1",
+                        "--recv-timeout", "30")
+        try:
+            deadline = time.monotonic() + 30
+            while len(zygote_family(killed.pid)) < 3:  # the zygote and nodes 0 and 2
+                assert time.monotonic() < deadline and killed.poll() is None
+                time.sleep(0.05)
+        finally:
+            killed.kill()
+            killed.communicate()
+        deadline = time.monotonic() + 10
+        while zygote_family(killed.pid):
+            assert time.monotonic() < deadline, zygote_family(killed.pid)
+            time.sleep(0.05)
+
+
+def test_output_is_decoded_as_popen_text_mode_decodes_it():
+    # what a forked node's pipes carry is decoded by the launcher itself
+    data = b"RESULT 0 [1]\r\nnext\rlast\r\r\n\n" + "\u00e9\u00df".encode(
+        locale.getpreferredencoding(False), "replace") + b"\r"
+    write = "import sys; sys.stdout.buffer.write(bytes.fromhex(sys.argv[1]))"
+    popen = subprocess.run([sys.executable, "-c", write, data.hex()], capture_output=True,
+                           text=True, timeout=60)
+    assert launcher._text(data) == popen.stdout

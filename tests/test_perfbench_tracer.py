@@ -69,3 +69,37 @@ def test_node_side_install_traces_the_example_callbacks(tmp_path):
     (dump,) = tmp_path.glob("*.json")
     calls = {name: rec[0] for name, rec in json.loads(dump.read_text())["agg"].items()}
     assert calls.get("engine.client_cb", 0) > 0, calls
+
+
+def test_forked_nodes_of_a_proc_run_are_traced(tmp_path):
+    # verify-proc under `--trace 1`: the benchmark puts childsite on its
+    # nodes' PYTHONPATH only, merges what each node dumps when it exits and
+    # then removes the directory. Forked nodes run the dump they inherit
+    # from the zygote, which itself leaves without running it.
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    code = (
+        "import json, os, shutil, sys\n"
+        "from fltestbed.harness import run_and_verify\n"
+        "childsite, trace_dir, base = sys.argv[1:]\n"
+        "os.environ['PYTHONPATH'] = os.pathsep.join([childsite, os.environ['PYTHONPATH']])\n"
+        "os.environ['PERFBENCH_TRACE_DIR'] = trace_dir\n"
+        "assert run_and_verify(3, 'proc', no_nodes=4, seed=1, base_port=int(base)).overall_match\n"
+        "dumps = []\n"
+        "for fn in sorted(os.listdir(trace_dir)):\n"
+        "    with open(os.path.join(trace_dir, fn)) as f:\n"
+        "        dumps.append({name: rec[0] for name, rec in json.load(f)['agg'].items()})\n"
+        "shutil.rmtree(trace_dir)\n"
+        "print(json.dumps(dumps))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(PERFBENCH / "childsite"), str(trace_dir),
+         str(alloc_base_port(4))],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert "Exception ignored" not in out.stderr, out.stderr
+    dumps = json.loads(out.stdout)
+    assert len(dumps) == 4  # one per node, none from the zygote
+    assert sum(d.get("engine.client_cb", 0) for d in dumps) == 12  # 4 nodes x 3 peers
+    assert all(d.get("engine.run", 0) == 1 for d in dumps), dumps

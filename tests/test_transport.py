@@ -728,6 +728,42 @@ class TestTcpSpecifics:
             if "t" in late:
                 late["t"].close()
 
+    def test_frame_from_a_peer_mid_backoff_connects_at_once(self, monkeypatch):
+        # Node 0 backs off against node 1, which binds only after 1.3 s, when
+        # node 0 waits in a backoff step from about 1.02 s to 2.05 s (the cap is
+        # raised so steps keep doubling). Node 1's first frame shows that it
+        # has bound, so node 0 retries at once instead of waiting out the step.
+        monkeypatch.setattr(transport, "_RETRY_MAX", 10.0)
+        base = alloc_base_port(2)
+        cfgs = [FlConfig(no_nodes=2, node_id=i, base_port=base, connect_timeout=20.0,
+                         recv_timeout=20.0) for i in (0, 1)]
+        t0 = TcpTransport(cfgs[0])
+        late: dict = {}
+
+        def bind_late_and_send():
+            time.sleep(1.3)
+            late["t"] = TcpTransport(cfgs[1])
+            late["t"].send(Envelope(1, 0, Phase.CLI_DATA, 0, 1.0))
+            late["sent"] = time.monotonic()
+
+        thread = threading.Thread(target=bind_late_and_send)
+        thread.start()
+        try:
+            t0.send(Envelope(0, 1, Phase.SRV_DATA, 0, 42.0))
+            connected = time.monotonic()
+            thread.join(20.0)
+            assert not thread.is_alive()
+            assert connected - late["sent"] < 0.4
+            (env,) = t0.recv_matching(Phase.CLI_DATA, 0, (1,))
+            assert env.payload == 1.0
+            (env,) = late["t"].recv_matching(Phase.SRV_DATA, 0, (0,))
+            assert env.payload == 42.0
+        finally:
+            thread.join(20.0)
+            t0.close()
+            if "t" in late:
+                late["t"].close()
+
 
 def _raw_peer(port: int, *frames: bytes) -> socket.socket:
     """A client socket connected to `port` that has written `frames`."""
