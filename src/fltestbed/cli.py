@@ -14,7 +14,9 @@ starts. A node calls run.run_node; launch and verify --mode proc spawn the
 nodes through harness.launch_federation, and verify --mode inproc runs them
 on threads.
 Only launch, verify and fuzz import harness, so a node process loads the
-node library alone.
+node library alone. The parser is built once, at import, and main reuses it:
+a node forked from the launcher's zygote inherits it built, and imports
+nothing after the fork.
 
 Exit codes: node exits 0 on success, 1 on protocol/config errors, 2 on a
 receive timeout. verify exits 0 only when every node matched the oracle;
@@ -144,9 +146,11 @@ def cmd_fuzz(args) -> int:
     return EXIT_OK if summary.ok else EXIT_ERROR
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ProtocolTimeout as e:

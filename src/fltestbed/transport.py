@@ -420,13 +420,18 @@ class TcpTransport(_Transport):
         deadline = time.monotonic() + self.cfg.connect_timeout
         delay = 0.001
         while True:
+            # a plain socket, not create_connection: its getaddrinfo would
+            # import the idna codec and unicodedata in every forked node
+            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             try:
-                sock = socket.create_connection(("127.0.0.1", port), timeout=self.cfg.connect_timeout)
+                sock.settimeout(self.cfg.connect_timeout)
+                sock.connect(("127.0.0.1", port))
                 sock.setblocking(False)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._out[dst] = sock
                 return sock
             except OSError as e:
+                sock.close()
                 if isinstance(e, ConnectionRefusedError) and dst in self._heard:
                     # a transport binds before it sends, so this peer has closed
                     raise TransportError(f"node {dst} unreachable on port {port}: {e}") from e

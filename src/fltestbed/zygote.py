@@ -1,12 +1,14 @@
 """Forks node processes from one warm interpreter for fltestbed.launcher.
 
 `python -m fltestbed.zygote LAUNCHER_PID CTRL_FD` imports the node library
-once, then serves the Unix socket CTRL_FD. `run <json argv>`, sent with
-three fds, forks a child that makes them its fds 0-2 and runs argv as
-`python -m fltestbed` would; the reply is its pid. `wait <seconds>
-<grace>` ends the launch: at the deadline the children still running get
-SIGTERM, then SIGKILL after the grace period; once all are reaped the
-reply is [exit codes as Popen.returncode gives them, timed-out indices].
+once, cli's parser built with it, then serves the Unix socket CTRL_FD.
+`run <json argv>`, sent with three fds, forks a child that makes them its
+fds 0-2 and runs argv as `python -m fltestbed` would, on the inherited
+parser and modules, so a node imports nothing after the fork; the reply
+is its pid. `wait <seconds> <grace>` ends the launch: at the deadline the
+children still running get SIGTERM, then SIGKILL after the grace period;
+once all are reaped the reply is [exit codes as Popen.returncode gives
+them, timed-out indices].
 No other thread runs here, so a fork copies none, and only this process
 reaps or signals the children, so no signal reaches a reused pid. At EOF
 it kills and reaps its children and leaves by os._exit, skipping its

@@ -579,6 +579,41 @@ class TestCli:
         assert res.stdout == ('{"engine":"cent","trials":5,"passed":5,"failed":0,'
                               '"orderingViolations":0,"seed":1,"failures":[]}\n')
 
+    def test_one_parser_serves_back_to_back_calls(self, monkeypatch, capsys):
+        # main reuses the parser built at import: each call gives what the same
+        # argv gives in a fresh process, and no value of one call reaches the next
+        from fltestbed import cli
+
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+        seen, example_run_of = [], cli._example_run
+
+        def recording(args):
+            seen.append(vars(args).copy())
+            return example_run_of(args)
+
+        monkeypatch.setattr(cli, "_example_run", recording)
+        verify = ["verify", "--example", "2", "--mode", "inproc"]
+        calls = [
+            verify,
+            ["node", "--example", "2", "--iters", "0", "--no-nodes", "3", "--node-id", "0",
+             "--fl-srv-id", "2"],  # one `error:` line, exit 1
+            ["verify", "--example", "9", "--mode", "inproc"],  # argparse: usage, exit 2
+            verify,
+        ]
+        wall_time = re.compile(r'"wallTime":[^,}]+')
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as e:
+                code = e.code
+            out, err = capsys.readouterr()
+            fresh = run_cli(*argv)
+            assert (code, wall_time.sub("", out), err) == \
+                (fresh.returncode, wall_time.sub("", fresh.stdout), fresh.stderr), argv
+        assert [(args["command"], args["fl_srv_id"], args["iters"]) for args in seen] == \
+            [("verify", None, 1), ("node", 2, 0), ("verify", None, 1)]
+        assert seen[0] == seen[2]
+
     def test_node_argv_rebuilds_the_run(self):
         # canonical and seeded data, default and non-default settings, with
         # and without each fault pair the run's nodes reach: a node process

@@ -147,12 +147,16 @@ class TestTimeouts:
 PROBE_SITE = """
 import atexit, json, os, sys
 
+_at_fork = set()  # sys.modules in a forked child, right after the fork
+
 def _record():
     with open(f"/proc/{os.getppid()}/status") as f:
         threads = int(next(ln.split()[1] for ln in f if ln.startswith("Threads:")))
     with open(os.path.join(os.environ["NODE_PROBE_DIR"], f"{os.getpid()}.json"), "w") as f:
-        json.dump({"ppid": os.getppid(), "parent_threads": threads, "modules": sorted(sys.modules)}, f)
+        json.dump({"ppid": os.getppid(), "parent_threads": threads, "modules": sorted(sys.modules),
+                   "imported_after_fork": sorted(set(sys.modules) - _at_fork)}, f)
 
+os.register_at_fork(after_in_child=lambda: _at_fork.update(sys.modules))
 atexit.register(_record)
 """
 
@@ -160,17 +164,28 @@ atexit.register(_record)
 @pytest.mark.skipif(not launcher._CAN_FORK, reason="node programs are spawned on this platform")
 class TestForkedNodes:
     @pytest.fixture
-    def probed_launch(self, tmp_path, monkeypatch):
-        """Records of the nodes of one launch of example 2, and the launch result."""
+    def probe(self, tmp_path, monkeypatch):
+        """Launches a Run with probed nodes; returns the launch's node records."""
         site, records = tmp_path / "site", tmp_path / "records"
         site.mkdir()
         records.mkdir()
         (site / "sitecustomize.py").write_text(PROBE_SITE)
         monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(site), os.environ["PYTHONPATH"]]))
         monkeypatch.setenv("NODE_PROBE_DIR", str(records))
-        result = launch_federation(example_run(2, 3, base_port=alloc_base_port(3)))
-        assert result.overall_success
-        return [json.loads(p.read_text()) for p in sorted(records.iterdir())]
+
+        def launch(run):
+            assert launch_federation(run).overall_success
+            paths = sorted(records.iterdir())
+            found = [json.loads(p.read_text()) for p in paths]
+            for p in paths:
+                p.unlink()
+            return found
+        return launch
+
+    @pytest.fixture
+    def probed_launch(self, probe):
+        """Records of the nodes of one launch of example 2."""
+        return probe(example_run(2, 3, base_port=alloc_base_port(3)))
 
     def test_nodes_are_forked_by_a_one_thread_zygote(self, probed_launch):
         assert len(probed_launch) == 3
@@ -184,6 +199,15 @@ class TestForkedNodes:
             assert {"fltestbed.harness", "fltestbed.launcher", "subprocess"}.isdisjoint(
                 record["modules"])
             assert "fltestbed.cli" in record["modules"]
+
+    def test_forked_node_imports_nothing_after_the_fork(self, probe):
+        # the zygote has built cli's parser, and a connect makes no name lookup
+        for run in (example_run(2, 3, base_port=alloc_base_port(3)),
+                    example_run(3, 4, seed=1, base_port=alloc_base_port(4))):
+            records = probe(run)
+            assert len(records) == run.no_nodes
+            for record in records:
+                assert record["imported_after_fork"] == []
 
     @pytest.mark.parametrize("flags", [
         ("--example", "2"),

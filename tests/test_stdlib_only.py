@@ -31,3 +31,16 @@ def test_node_process_loads_only_the_node_library():
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.split() == []
+
+
+def test_package_import_builds_no_parser():
+    # `import fltestbed` is perfbench's verify-proc floor (setup_s); the CLI
+    # parser, built when fltestbed.cli is imported, stays out of it
+    code = ("import sys, fltestbed\n"
+            "print(*sorted({'fltestbed.cli', 'argparse'} & set(sys.modules)))\n")
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.split() == []

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import socket
@@ -5,6 +6,7 @@ import struct
 import sys
 import threading
 import time
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from fltestbed.errors import (
     TransportError,
     UsageError,
 )
-from fltestbed.examples import EXAMPLES, Run
+from fltestbed.examples import EXAMPLES, Run, example_run, sim_centralized, sim_decentralized
 from fltestbed.transport import (
     Envelope,
     LoopbackHub,
@@ -763,6 +765,109 @@ class TestTcpSpecifics:
             t0.close()
             if "t" in late:
                 late["t"].close()
+
+
+class TestTcpConnectMakesNoNameLookup:
+    """Connects go to 127.0.0.1 on a plain socket: no getaddrinfo, and so no
+    idna codec import in a forked node. Error texts are create_connection's."""
+
+    @pytest.fixture(autouse=True)
+    def no_name_lookup(self, monkeypatch):
+        def lookup(*args, **kwargs):
+            raise AssertionError("a name lookup on the TCP path")
+
+        monkeypatch.setattr(socket, "getaddrinfo", lookup)
+        monkeypatch.setattr(socket, "create_connection", lookup)
+
+    @pytest.mark.parametrize("example", [2, 3])  # centralized, decentralized
+    def test_federation_on_threads_matches_the_oracle(self, example):
+        run = example_run(example, 3, no_iters=2, base_port=alloc_base_port(3), recv_timeout=10.0)
+        results: list = [None] * 3
+
+        def node(i):
+            try:
+                results[i] = run.run_node(i)
+            except BaseException as e:
+                results[i] = e
+
+        threads = [threading.Thread(target=node, args=(i,)) for i in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20.0)
+            assert not t.is_alive()
+        ldata, pdata = zip(*map(run.node_data, range(3)))
+        if run.engine == CENTRALIZED:
+            assert results == sim_centralized(ldata, pdata, run.fl_srv_id, run.callbacks, 2)
+        else:
+            assert results == sim_decentralized(ldata, pdata, run.callbacks, 2)
+
+    def test_refused_until_the_connect_timeout(self):
+        base = alloc_base_port(2)
+        t = TcpTransport(FlConfig(no_nodes=2, node_id=0, base_port=base, connect_timeout=0.3))
+        try:
+            with pytest.raises(TransportError) as exc:
+                t.send(Envelope(0, 1, Phase.SRV_DATA, 0, 1.0))
+            assert str(exc.value) == (
+                f"send to node 1 failed (SRV_DATA iteration 0): node 1 unreachable on port "
+                f"{base + 1} after 0.3s: [Errno 111] Connection refused")
+        finally:
+            t.close()
+
+    def test_connect_timed_out(self):
+        # a listener that never accepts, its backlog full: the SYN goes unanswered
+        base = alloc_base_port(2)
+        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        listener.bind(("127.0.0.1", base + 1))
+        listener.listen(0)
+        filler = []
+        try:
+            for _ in range(4):
+                filler.append(socket.socket(socket.AF_INET, socket.SOCK_STREAM))
+                filler[-1].setblocking(False)
+                filler[-1].connect_ex(("127.0.0.1", base + 1))
+            t = TcpTransport(FlConfig(no_nodes=2, node_id=0, base_port=base, connect_timeout=0.3))
+            try:
+                with pytest.raises(TransportError) as exc:
+                    t.send(Envelope(0, 1, Phase.SRV_DATA, 0, 1.0))
+            finally:
+                t.close()
+        finally:
+            for sock in (*filler, listener):
+                sock.close()
+        assert str(exc.value) == (
+            f"send to node 1 failed (SRV_DATA iteration 0): node 1 unreachable on port "
+            f"{base + 1} after 0.3s: timed out")
+
+    def test_refused_after_heard(self):
+        base = alloc_base_port(2)
+        t0, t1 = (TcpTransport(FlConfig(no_nodes=2, node_id=i, base_port=base,
+                                        connect_timeout=5.0, recv_timeout=5.0)) for i in (0, 1))
+        try:
+            t1.send(Envelope(1, 0, Phase.CLI_DATA, 0, 1.0))
+            t0.recv_matching(Phase.CLI_DATA, 0, (1,))
+            t1.close()
+            with pytest.raises(TransportError) as exc:
+                t0.send(Envelope(0, 1, Phase.SRV_DATA, 1, 2.0))
+            assert str(exc.value) == (
+                f"send to node 1 failed (SRV_DATA iteration 1): node 1 unreachable on port "
+                f"{base + 1}: [Errno 111] Connection refused")
+        finally:
+            t0.close()
+            t1.close()
+
+    def test_a_failed_connect_leaves_no_socket_open(self):
+        base = alloc_base_port(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            t = TcpTransport(FlConfig(no_nodes=2, node_id=0, base_port=base, connect_timeout=0.2))
+            try:
+                with pytest.raises(TransportError):
+                    t.send(Envelope(0, 1, Phase.SRV_DATA, 0, 1.0))
+            finally:
+                t.close()
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def _raw_peer(port: int, *frames: bytes) -> socket.socket:
