@@ -14,9 +14,8 @@ starts. A node calls run.run_node; launch and verify --mode proc spawn the
 nodes through harness.launch_federation, and verify --mode inproc runs them
 on threads.
 Only launch, verify and fuzz import harness, so a node process loads the
-node library alone. The parser is built once, at import, and main reuses it:
-a node forked from the launcher's zygote inherits it built, and imports
-nothing after the fork.
+node library alone. main reuses the parser built at import, so a node
+forked from the zygote inherits it and imports nothing after the fork.
 
 Exit codes: node exits 0 on success, 1 on protocol/config errors, 2 on a
 receive timeout. verify exits 0 only when every node matched the oracle;

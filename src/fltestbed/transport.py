@@ -123,6 +123,7 @@ _LENGTH = struct.Struct("!I")
 _RECV_CHUNK = 64 * 1024
 # Longest wait between connect attempts; the backoff starts at 1 ms.
 _RETRY_MAX = 0.1
+_RESET = struct.pack("ii", 1, 0)  # SO_LINGER on for 0 s: close sends a reset, not a FIN
 # The header _frame writes: canonical key order, no whitespace, no leading zeros.
 _HEADER = re.compile(
     rb'\{"src":(0|[1-9][0-9]*),"dst":(0|[1-9][0-9]*),"phase":"(\w+)",'
@@ -420,8 +421,7 @@ class TcpTransport(_Transport):
         deadline = time.monotonic() + self.cfg.connect_timeout
         delay = 0.001
         while True:
-            # a plain socket, not create_connection: its getaddrinfo would
-            # import the idna codec and unicodedata in every forked node
+            # not create_connection: its getaddrinfo imports idna in every forked node
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             try:
                 sock.settimeout(self.cfg.connect_timeout)
@@ -488,6 +488,11 @@ class TcpTransport(_Transport):
         inbound = [key.fileobj for key in self._sel.get_map().values()]
         self._sel.close()
         for sock in inbound + list(self._out.values()):
+            try:  # reset a peer that closed first, so no TIME_WAIT holds its port for 60 s
+                if sock.recv(1, socket.MSG_PEEK) == b"":
+                    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, _RESET)
+            except OSError:  # no FIN yet, a reset already, or the listener
+                pass
             try:
                 sock.close()
             except OSError:

@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import select
 import socket
 import struct
 import sys
@@ -672,6 +673,25 @@ class TestTcpSpecifics:
         t.close()
         t2 = TcpTransport(cfg)
         t2.close()
+
+    def test_closing_after_the_peer_leaves_no_time_wait_on_its_port(self):
+        # Node 0 accepted node 1's connection and closes first, sending a FIN.
+        # Node 1 sees it and resets instead of closing in turn, so node 0's
+        # port keeps no TIME_WAIT entry: even a bind without SO_REUSEADDR
+        # gets it back at once, as a port probe of a benchmark does.
+        base = alloc_base_port(2)
+        t0, t1 = (TcpTransport(FlConfig(no_nodes=2, node_id=i, base_port=base,
+                                        recv_timeout=5.0)) for i in (0, 1))
+        try:
+            t1.send(Envelope(1, 0, Phase.CLI_DATA, 0, 1.0))
+            t0.recv_matching(Phase.CLI_DATA, 0, (1,))
+            t0.close()
+            assert select.select([t1._out[0]], [], [], 5.0)[0]  # the FIN has arrived
+        finally:
+            t0.close()
+            t1.close()
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
+            probe.bind(("127.0.0.1", base))
 
     def test_unreachable_destination(self):
         base = alloc_base_port(2)
