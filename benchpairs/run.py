@@ -3,8 +3,8 @@
 Run from anywhere inside the repository:
 
     python3 benchpairs/run.py --parent REV [--change REV] --pr N \
-        [--seeds 2201-2210] [--seconds 30] [--workloads W,...] \
-        [--claim WORKLOAD:METRIC ...] [--what TEXT] [--out PATH]
+        [--seeds 2201-2210] [--seconds 30] [--claim WORKLOAD:METRIC ...] \
+        [--what TEXT] [--out PATH]
 
 Both commits are checked out with `git worktree` into a temporary
 directory, which is removed at the end. For every workload and seed the
@@ -190,7 +190,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seeds", default="1-10", help="a range A-B or a comma list")
     ap.add_argument("--seconds", type=int, default=None,
                     help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--workloads", default=None, help="comma list (default: all)")
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                     help="a metric the change claims to improve")
     ap.add_argument("--what", default="", help="what the change does")
@@ -210,9 +209,11 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as f:
             bench = json.load(f)
         seconds = args.seconds or bench["run_seconds"]
-        workloads = (args.workloads.split(",") if args.workloads
-                     else [w["name"] for w in bench["workloads"]])
+        workloads = [w["name"] for w in bench["workloads"]]
         claims = {tuple(c.split(":", 1)) for c in args.claim}
+        unknown = claims - {(w, m["name"]) for w in workloads for m in bench["end_to_end"]}
+        if unknown:
+            ap.error(f"--claim names no workload:metric of BENCHMARK.json: {sorted(unknown)}")
         for wl in workloads:
             for k, seed in enumerate(_seeds(args.seeds)):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]

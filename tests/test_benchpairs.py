@@ -41,6 +41,14 @@ def _git(repo, *args):
                            *args], check=True, capture_output=True, text=True).stdout.strip()
 
 
+def _repo(tmp_path, benchmark=BENCHMARK):
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    _git(repo, "init", "-q")
+    (repo / "BENCHMARK.json").write_text(json.dumps(benchmark))
+    return repo
+
+
 def _commit(repo, scale):
     (repo / "perfbench" / "run.py").write_text(STUB.format(scale=scale))
     _git(repo, "add", "-A")
@@ -49,10 +57,7 @@ def _commit(repo, scale):
 
 
 def test_pair_runner_writes_the_bench_schema(tmp_path):
-    repo = tmp_path / "repo"
-    (repo / "perfbench").mkdir(parents=True)
-    _git(repo, "init", "-q")
-    (repo / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    repo = _repo(tmp_path)
     parent, change = _commit(repo, 2.0), _commit(repo, 1.0)
     log = tmp_path / "log"
     proc = subprocess.run(
@@ -101,11 +106,7 @@ def test_pair_runner_writes_the_bench_schema(tmp_path):
 
 
 def test_a_worse_change_is_outside_its_bound(tmp_path):
-    repo = tmp_path / "repo"
-    (repo / "perfbench").mkdir(parents=True)
-    _git(repo, "init", "-q")
-    (repo / "BENCHMARK.json").write_text(json.dumps({**BENCHMARK, "workloads": [
-        {"name": "w1", "why": "stub"}]}))
+    repo = _repo(tmp_path, {**BENCHMARK, "workloads": [{"name": "w1", "why": "stub"}]})
     parent, change = _commit(repo, 1.0), _commit(repo, 2.0)
     out = tmp_path / "bench.json"
     proc = subprocess.run(
@@ -121,3 +122,17 @@ def test_a_worse_change_is_outside_its_bound(tmp_path):
     assert doc["method"]["seeds"] == "5,6"
     assert [r["seed"] for r in doc["runs"]] == [5, 5, 6, 6]
     assert not (repo / "BENCH_1.json").exists()
+
+
+def test_a_claim_must_name_a_workload_and_metric(tmp_path):
+    repo = _repo(tmp_path)
+    rev = _commit(repo, 1.0)
+    proc = subprocess.run(
+        [sys.executable, str(RUNNER), "--repo", str(repo), "--parent", rev, "--change", rev,
+         "--pr", "1", "--claim", "w1:overhead"],
+        env={**os.environ, "STUB_LOG": str(tmp_path / "log")}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2
+    assert "--claim names no workload:metric" in proc.stderr
+    assert not (tmp_path / "log").exists()  # nothing ran
+    assert _git(repo, "worktree", "list").count("\n") == 0

@@ -807,7 +807,7 @@ class TestTcpConnectMakesNoNameLookup:
         def node(i):
             try:
                 results[i] = run.run_node(i)
-            except BaseException as e:
+            except Exception as e:  # a name lookup among them
                 results[i] = e
 
         threads = [threading.Thread(target=node, args=(i,)) for i in range(3)]
