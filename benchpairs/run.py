@@ -3,25 +3,28 @@
 Run from anywhere inside the repository:
 
     python3 benchpairs/run.py --parent REV [--change REV] --pr N \
-        [--seeds 2201-2210] [--seconds 30] [--claim WORKLOAD:METRIC ...] \
-        [--what TEXT] [--out PATH]
+        [--seeds 2201-2210] [--claim WORKLOAD:METRIC ...] [--what TEXT]
 
 Both commits are checked out with `git worktree` into a temporary
-directory, which is removed at the end. For every workload and seed the
-benchmark command of BENCHMARK.json (`python3 perfbench/run.py`) runs
-with `--workload W --seed S --seconds T` from the root of each checkout,
-the two sides back to back; which side runs first alternates from seed to
-seed. The last stdout line of a run is its result line.
+directory, which is removed at the end. The benchmark is the parent's
+BENCHMARK.json: its command, workloads, run_seconds and bounds judge both
+sides, so a change cannot loosen the benchmark it is judged by. For every
+workload and seed its command (`python3 perfbench/run.py`) runs with
+`--workload W --seed S --seconds <run_seconds>` from the root of each
+checkout, the two sides back to back; which side runs first alternates
+from seed to seed. The last stdout line of a run is its result line.
 
-The file holds what, machine, commits, method, summary, verdicts and runs:
-per workload and end-to-end metric, the median, quartiles, min, max and n
-of each side, the pairs in which the change is lower and the ratio of the
-medians; a verdict against the metric's bound in BENCHMARK.json; and every
-result line. A metric whose parent interquartile range is wider than its
-bound is "unresolved", unless every change run is better than every parent
-run. A claimed gain (--claim) is met when the change is better in at least
-nine of ten pairs and its median is better than the parent's by more than
-the parent's interquartile range. Standard library only.
+BENCH_<pr>.json, at the root of the repository, holds what, machine,
+commits, method, summary, verdicts and runs: per workload and end-to-end
+metric, the median, quartiles, min, max and n of each side, the pairs in
+which the change is lower and the ratio of the medians; a verdict against
+the metric's bound; and every result line. A metric whose parent
+interquartile range is wider than its bound is "unresolved", unless every
+change run is better than every parent run. A claimed gain (--claim) is
+met when the change is better in at least nine of ten pairs, its median is
+better than the parent's by more than the parent's interquartile range,
+it fails no more operations than the parent and every change run gave a
+result line. Standard library only.
 """
 
 from __future__ import annotations
@@ -148,7 +151,10 @@ def verdicts(summary: dict, metrics: list[dict], claims: set[tuple[str, str]]) -
                      f"{'lower' if lower else 'higher'} in {better} pairs, parent IQR {iqr:.4g}")
             if (wl, name) in claims:
                 gain = parent - change if lower else change - parent
-                met = better_pairs >= CLAIM_PAIR_SHARE * n_pairs and gain > iqr
+                failed = entry["failed_ops"]
+                met = (better_pairs >= CLAIM_PAIR_SHARE * n_pairs and gain > iqr
+                       and failed["change"] <= failed["parent"]
+                       and not entry["runs_without_result"]["change"])
                 out[wl][name] = f"claimed gain {'met' if met else 'not met'}: {facts}"
                 continue
             apart = (s["change"]["max"] < s["parent"]["min"] if lower
@@ -181,22 +187,17 @@ def machine(provenance: dict | None) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    ap.add_argument("--repo", default=".", help="a directory inside the repository")
     ap.add_argument("--parent", required=True, metavar="REV")
     ap.add_argument("--change", default="HEAD", metavar="REV")
     ap.add_argument("--pr", required=True, help="names the output file BENCH_<pr>.json")
-    ap.add_argument("--out", default=None, metavar="PATH",
-                    help="default: BENCH_<pr>.json at the root of the repository")
     ap.add_argument("--seeds", default="1-10", help="a range A-B or a comma list")
-    ap.add_argument("--seconds", type=int, default=None,
-                    help="seconds per run (default: run_seconds of BENCHMARK.json)")
     ap.add_argument("--claim", action="append", default=[], metavar="WORKLOAD:METRIC",
                     help="a metric the change claims to improve")
     ap.add_argument("--what", default="", help="what the change does")
     args = ap.parse_args(argv)
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # remove the checkouts on a kill
 
-    root = _git(args.repo, "rev-parse", "--show-toplevel")
+    root = _git(".", "rev-parse", "--show-toplevel")
     commits = {side: _git(root, "rev-parse", "--verify", f"{rev}^{{commit}}")
                for side, rev in zip(SIDES, (args.parent, args.change))}
     tmp = tempfile.mkdtemp(prefix="benchpairs-")
@@ -206,9 +207,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for side in SIDES:
             _git(root, "worktree", "add", "--detach", checkouts[side], commits[side])
-        with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as f:
+        with open(os.path.join(checkouts["parent"], "BENCHMARK.json"), encoding="utf-8") as f:
             bench = json.load(f)
-        seconds = args.seconds or bench["run_seconds"]
+        seconds = bench["run_seconds"]
         workloads = [w["name"] for w in bench["workloads"]]
         claims = {tuple(c.split(":", 1)) for c in args.claim}
         unknown = claims - {(w, m["name"]) for w in workloads for m in bench["end_to_end"]}
@@ -244,19 +245,20 @@ def main(argv: list[str] | None = None) -> int:
             "pairs": "parent and change run back to back per seed and workload, alternating "
                      "which side runs first (first_in_pair in each run)",
             "seeds": args.seeds,
-            "bounds": "BENCHMARK.json end_to_end bounds: "
+            "bounds": "the parent's BENCHMARK.json end_to_end bounds: "
                       + ", ".join(f"{m['name']} {m['bound']}" for m in metrics),
             "claims": [f"{w}:{m}" for w, m in sorted(claims)],
-            "claim_rule": f"change better in at least {CLAIM_PAIR_SHARE:.0%} of pairs and its "
-                          "median better than the parent's by more than the parent's IQR",
+            "claim_rule": f"change better in at least {CLAIM_PAIR_SHARE:.0%} of pairs, its "
+                          "median better than the parent's by more than the parent's IQR, "
+                          "no more failed ops than the parent and no change run without "
+                          "a result line",
             "quartiles": "statistics.quantiles(n=4, method='inclusive')",
         },
         "summary": summary,
         "verdicts": verdicts(summary, metrics, claims),
         "runs": runs,
     }
-    out = args.out or os.path.join(root, f"BENCH_{args.pr}.json")
-    with open(out, "w", encoding="utf-8") as f:
+    with open(os.path.join(root, f"BENCH_{args.pr}.json"), "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
     print(json.dumps(doc["verdicts"], indent=1))

@@ -4,20 +4,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 RUNNER = Path(__file__).resolve().parent.parent / "benchpairs" / "run.py"
 
 # A stand-in for perfbench/run.py: overhead_x is SCALE * (10 + seed % 3); the
 # change halves SCALE. peak_rss_mb spreads more than its bound on both sides.
-# It logs every run so the test can see the order.
+# Each run fails FAILED of its 5 ops; with FAILED -1, the seed-2 run exits
+# without a result line. It logs every run so the test can see the order.
 STUB = '''
 import json, os, sys
-SCALE = {scale}
+SCALE, FAILED = {scale}, {failed}
 args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
 seed = int(args["--seed"])
 with open(os.environ["STUB_LOG"], "a") as f:
     f.write(f"{{seed}} {{SCALE}} {{args['--workload']}} {{args['--seconds']}}\\n")
+if FAILED < 0 and seed == 2:
+    sys.exit(3)
 print("# provenance " + json.dumps({{"cpu_model": "stub cpu", "nproc": 2, "python": "3.x"}}))
-print(json.dumps({{"correct": True, "attempted": 5, "failed": 0, "metrics": {{
+print(json.dumps({{"correct": not FAILED, "attempted": 5, "failed": max(FAILED, 0), "metrics": {{
     "overhead_x": {{"value": SCALE * (10 + seed % 3), "unit": "x"}},
     "setup_s": {{"value": 1.0, "unit": "s"}},
     "peak_rss_mb": {{"value": 1.0 + seed % 2, "unit": "MB"}}}}}}))
@@ -49,21 +54,27 @@ def _repo(tmp_path, benchmark=BENCHMARK):
     return repo
 
 
-def _commit(repo, scale):
-    (repo / "perfbench" / "run.py").write_text(STUB.format(scale=scale))
+def _commit(repo, scale, failed=0, benchmark=None):
+    (repo / "perfbench" / "run.py").write_text(STUB.format(scale=scale, failed=failed))
+    if benchmark is not None:
+        (repo / "BENCHMARK.json").write_text(json.dumps(benchmark))
     _git(repo, "add", "-A")
     _git(repo, "commit", "-q", "-m", f"scale {scale}")
     return _git(repo, "rev-parse", "HEAD")
+
+
+def _run(repo, log, *args):
+    return subprocess.run([sys.executable, str(RUNNER), *args], cwd=repo,
+                          env={**os.environ, "STUB_LOG": str(log)}, capture_output=True,
+                          text=True, timeout=120)
 
 
 def test_pair_runner_writes_the_bench_schema(tmp_path):
     repo = _repo(tmp_path)
     parent, change = _commit(repo, 2.0), _commit(repo, 1.0)
     log = tmp_path / "log"
-    proc = subprocess.run(
-        [sys.executable, str(RUNNER), "--repo", str(repo), "--parent", parent, "--change", change,
-         "--pr", "99", "--seeds", "1-4", "--claim", "w1:overhead_x", "--what", "halves SCALE"],
-        env={**os.environ, "STUB_LOG": str(log)}, capture_output=True, text=True, timeout=120)
+    proc = _run(repo, log, "--parent", parent, "--change", change, "--pr", "99",
+                "--seeds", "1-4", "--claim", "w1:overhead_x", "--what", "halves SCALE")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((repo / "BENCH_99.json").read_text())
 
@@ -105,33 +116,46 @@ def test_pair_runner_writes_the_bench_schema(tmp_path):
     assert _git(repo, "worktree", "list").count("\n") == 0
 
 
-def test_a_worse_change_is_outside_its_bound(tmp_path):
-    repo = _repo(tmp_path, {**BENCHMARK, "workloads": [{"name": "w1", "why": "stub"}]})
-    parent, change = _commit(repo, 1.0), _commit(repo, 2.0)
-    out = tmp_path / "bench.json"
-    proc = subprocess.run(
-        [sys.executable, str(RUNNER), "--repo", str(repo), "--parent", parent, "--change", change,
-         "--pr", "1", "--seeds", "5,6", "--seconds", "1", "--claim", "w1:setup_s",
-         "--out", str(out)],
-        env={**os.environ, "STUB_LOG": str(tmp_path / "log")}, capture_output=True, text=True,
-        timeout=120)
+def test_a_worse_change_is_judged_by_the_parents_benchmark(tmp_path):
+    one_workload = {**BENCHMARK, "workloads": [{"name": "w1", "why": "stub"}]}
+    repo = _repo(tmp_path, one_workload)
+    parent = _commit(repo, 1.0)
+    # the change doubles overhead_x, widens its bound, shortens the runs and adds a workload
+    loose = {**BENCHMARK, "run_seconds": 1, "end_to_end": [
+        {**m, "bound": 5.0} if m["name"] == "overhead_x" else m for m in BENCHMARK["end_to_end"]]}
+    change = _commit(repo, 2.0, benchmark=loose)
+    log = tmp_path / "log"
+    proc = _run(repo, log, "--parent", parent, "--change", change, "--pr", "1",
+                "--seeds", "5,6", "--claim", "w1:setup_s")
     assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
+    doc = json.loads((repo / "BENCH_1.json").read_text())
+    assert list(doc["verdicts"]) == ["w1"]
     assert doc["verdicts"]["w1"]["overhead_x"].startswith("outside the 0.25 bound:")
     assert doc["verdicts"]["w1"]["setup_s"].startswith("claimed gain not met:")
     assert doc["method"]["seeds"] == "5,6"
     assert [r["seed"] for r in doc["runs"]] == [5, 5, 6, 6]
-    assert not (repo / "BENCH_1.json").exists()
+    assert {line.split()[3] for line in log.read_text().splitlines()} == {"7"}
+
+
+@pytest.mark.parametrize("failed", [1, -1], ids=["fails-ops", "run-without-result"])
+def test_a_faster_change_that_fails_more_meets_no_claim(tmp_path, failed):
+    repo = _repo(tmp_path, {**BENCHMARK, "workloads": [{"name": "w1", "why": "stub"}]})
+    parent, change = _commit(repo, 2.0), _commit(repo, 1.0, failed=failed)
+    proc = _run(repo, tmp_path / "log", "--parent", parent, "--change", change, "--pr", "1",
+                "--seeds", "1-10", "--claim", "w1:overhead_x")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((repo / "BENCH_1.json").read_text())
+    # lower in enough pairs and by more than the parent's IQR: only the failures stand in the way
+    assert doc["summary"]["w1"]["overhead_x"]["change_lower_in_pairs"] == (
+        "10/10" if failed > 0 else "9/10")
+    assert doc["verdicts"]["w1"]["overhead_x"].startswith("claimed gain not met:")
 
 
 def test_a_claim_must_name_a_workload_and_metric(tmp_path):
     repo = _repo(tmp_path)
     rev = _commit(repo, 1.0)
-    proc = subprocess.run(
-        [sys.executable, str(RUNNER), "--repo", str(repo), "--parent", rev, "--change", rev,
-         "--pr", "1", "--claim", "w1:overhead"],
-        env={**os.environ, "STUB_LOG": str(tmp_path / "log")}, capture_output=True, text=True,
-        timeout=120)
+    proc = _run(repo, tmp_path / "log", "--parent", rev, "--change", rev, "--pr", "1",
+                "--claim", "w1:overhead")
     assert proc.returncode == 2
     assert "--claim names no workload:metric" in proc.stderr
     assert not (tmp_path / "log").exists()  # nothing ran
