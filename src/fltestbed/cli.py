@@ -10,9 +10,9 @@ examples.Run from them with examples.example_run. Building it makes every
 check a node would make, so a bad run (a half fault pair, a node count
 without a dataset, ports out of range, a timeout that is not a positive
 finite number, --iters 0) exits 1 with one `error:` line before any node
-starts. A node calls run.run_node; launch and verify --mode proc spawn the
-nodes through harness.launch_federation, and verify --mode inproc runs them
-on threads.
+starts; so does a verify --report path that cannot be written. A node calls
+run.run_node; launch and verify --mode proc spawn the nodes through
+harness.launch_federation, and verify --mode inproc runs them on threads.
 Only launch, verify and fuzz import harness, so a node process loads the
 node library alone. main reuses the parser built at import, so a node
 forked from the zygote inherits it and imports nothing after the fork.
@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .engine import CENTRALIZED, DECENTRALIZED, FAULT_POINTS
-from .errors import FlError, ProtocolTimeout
+from .errors import ConfigError, FlError, ProtocolTimeout
 from .examples import EXAMPLES, Run, example_run
 from .values import dumps
 
@@ -127,13 +128,14 @@ def cmd_launch(args) -> int:
 def cmd_verify(args) -> int:
     from . import harness
 
-    report = harness.verify_run(_example_run(args), args.mode)
-    text = report.to_text()
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as f:
-            f.write(text + "\n")
-    else:
-        print(text)
+    run = _example_run(args)
+    try:
+        out = open(args.report, "w", encoding="ascii") if args.report else nullcontext(sys.stdout)
+    except OSError as e:
+        raise ConfigError(f"cannot write the report to {args.report}: {e.strerror}") from None
+    with out as f:
+        report = harness.verify_run(run, args.mode)
+        print(report.to_text(), file=f)
     return EXIT_OK if report.overall_match else EXIT_ERROR
 
 

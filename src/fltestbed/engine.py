@@ -21,13 +21,14 @@ fl_srv_id plays no role here.
 Both engines return the calling node's own local data after the final
 iteration; private data never leaves the node.
 
-Engine runs that share one process share its interpreter lock, so while two
-or more are live (in-process verification, fuzzing, node threads) all their
-threads run on one CPU: on several CPUs every message would pay a cross-CPU
-handoff of the lock. A run alone in its process, such as a node process,
-keeps the kernel's placement, and each thread gets its CPU set back when
-its run ends. The cost: a callback that releases the lock for long C work
-(numpy, say) does not run in parallel with other in-process nodes.
+Engine runs that share one process share its interpreter lock, so a run on
+any thread but the main one (in-process verification, fuzzing, node
+threads) pins its thread to the main thread's first CPU: on several CPUs
+every message would pay a cross-CPU handoff of the lock. A run on the main
+thread, such as a node process's, keeps the kernel's placement, and each
+thread gets its CPU set back when its run ends. The cost: a callback that
+releases the lock for long C work (numpy, say) does not run in parallel
+with other in-process nodes.
 """
 
 from __future__ import annotations
@@ -98,52 +99,6 @@ class CrashingTransport:
             )
 
 
-# The threads of the live engine runs of this process: native thread id ->
-# the CPU set to restore when its run ends, None while it is not pinned.
-# Module state, not instance state, because the interpreter lock the runs
-# share is per process.
-_run_threads: dict[int, set[int] | None] = {}
-_run_threads_lock = threading.Lock()
-_shared_cpu = 0  # the CPU of every pinned thread while any is pinned
-
-
-def _enter_run() -> int | None:
-    """Register the calling thread's run; with two or more live, pin them all to one CPU.
-
-    Returns the thread's native id, or None when there is nothing to undo:
-    no affinity calls on this platform, or a run already live on this thread.
-    A thread that cannot be pinned stays as it is.
-    """
-    global _shared_cpu
-    if not hasattr(os, "sched_setaffinity"):
-        return None
-    tid = threading.get_native_id()
-    with _run_threads_lock:
-        if tid in _run_threads:
-            return None
-        _run_threads[tid] = None
-        if len(_run_threads) > 1:
-            if all(saved is None for saved in _run_threads.values()):
-                _shared_cpu = min(os.sched_getaffinity(0))
-            for other in [t for t, saved in _run_threads.items() if saved is None]:
-                with contextlib.suppress(OSError):
-                    saved = os.sched_getaffinity(other)
-                    os.sched_setaffinity(other, {_shared_cpu})
-                    _run_threads[other] = saved
-    return tid
-
-
-def _leave_run(tid: int | None) -> None:
-    """Unregister a thread that _enter_run registered and give it back its CPU set."""
-    if tid is None:
-        return
-    with _run_threads_lock:
-        saved = _run_threads.pop(tid)
-        if saved is not None:
-            with contextlib.suppress(OSError):
-                os.sched_setaffinity(tid, saved)
-
-
 def check_engine(engine: str) -> None:
     if engine not in (CENTRALIZED, DECENTRALIZED):
         raise ConfigError(f"engine must be '{CENTRALIZED}' or '{DECENTRALIZED}', got {engine!r}")
@@ -183,8 +138,8 @@ class FlConfig:
             raise ConfigError(f"fl_srv_id {self.fl_srv_id} out of range [0, {self.no_nodes})")
         if not (0 < self.base_port and self.base_port + self.no_nodes - 1 <= 65535):
             raise ConfigError(f"port range {self.base_port}..+{self.no_nodes - 1} out of bounds")
-        check_timeout("timeouts", self.recv_timeout)
-        check_timeout("timeouts", self.connect_timeout)
+        check_timeout("recv_timeout", self.recv_timeout)
+        check_timeout("connect_timeout", self.connect_timeout)
 
 
 @dataclass(frozen=True)
@@ -271,7 +226,9 @@ class FlInstance:
     def _begin_run(self, no_iters: int):
         """Mark an engine run and yield the node's peers; a run that raises closes the transport.
 
-        While the run is live its thread counts towards the runs that share one CPU.
+        A run off the main thread pins its thread to the main thread's first
+        CPU, so all such threads share one, and gives the thread its own CPU
+        set back when it ends. A thread that cannot be pinned stays as it is.
         """
         check_iters(no_iters)
         with self._lock:
@@ -280,7 +237,13 @@ class FlInstance:
             if self._running:
                 raise UsageError("an engine run is already in progress on this instance")
             self._running = True
-        tid = _enter_run()
+        saved = None
+        off_main = threading.current_thread() is not threading.main_thread()
+        if off_main and hasattr(os, "sched_setaffinity"):
+            with contextlib.suppress(OSError):
+                own = os.sched_getaffinity(0)
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(os.getpid()))})
+                saved = own
         try:
             yield tuple(i for i in range(self.cfg.no_nodes) if i != self.cfg.node_id)
         except BaseException:
@@ -293,7 +256,9 @@ class FlInstance:
                     self.transport.close()
             raise
         finally:
-            _leave_run(tid)
+            if saved is not None:
+                with contextlib.suppress(OSError):
+                    os.sched_setaffinity(0, saved)
         with self._lock:
             self._running = False
 

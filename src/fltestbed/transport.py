@@ -111,6 +111,8 @@ RECV_TIMEOUT = 30.0
 
 def check_timeout(name: str, seconds: float) -> None:
     """A timeout is a positive, finite number of seconds; `name` leads the error text."""
+    if not isinstance(seconds, (int, float)) or isinstance(seconds, bool):
+        raise ConfigError(f"{name} must be a number of seconds, got {seconds!r}")
     if seconds <= 0:
         raise ConfigError(f"{name} must be positive")
     if not math.isfinite(seconds):

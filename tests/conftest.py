@@ -55,13 +55,10 @@ def base_port() -> int:
 
 
 @pytest.fixture(autouse=True)
-def no_engine_run_left_behind():
-    """Fail a test that leaves an engine run registered or moves the test thread's CPUs."""
-    from fltestbed import engine
-
+def cpu_set_kept():
+    """Fail a test that moves the test thread's CPUs."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     yield
-    assert engine._run_threads == {}, "an engine run is still registered after the test"
     if cpus is not None:
         assert os.sched_getaffinity(0) == cpus, "the test thread's CPU set changed"
 

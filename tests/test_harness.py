@@ -483,6 +483,8 @@ class TestRun:
         ({"no_iters": True}, "no_iters must be an integer, got True"),
         ({"fault_node": 1.0, "after_phase": "cli"}, "fault_node must be an integer, got 1.0"),
         ({"fault_node": True, "after_phase": "cli"}, "fault_node must be an integer, got True"),
+        ({"recv_timeout": "5"}, "recv_timeout must be a number of seconds, got '5'"),
+        ({"connect_timeout": None}, "connect_timeout must be a number of seconds, got None"),
     ])
     def test_bad_run_rejected_when_built(self, case):
         kwargs, reason = case
@@ -682,12 +684,12 @@ class TestCli:
         (["launch", "--example", "2", "--nodes", "4"], "canonical 3-node dataset"),
         (["launch", "--example", "2", "--iters", "0"], "no_iters must be >= 1"),
         (["launch", "--example", "2", "--base-port", "70000"], "port range"),
-        (["launch", "--example", "2", "--recv-timeout", "0"], "timeouts must be positive"),
+        (["launch", "--example", "2", "--recv-timeout", "0"], "recv_timeout must be positive"),
         (["verify", "--example", "3", "--mode", "proc", "--base-port", "70000"], "port range"),
         (["verify", "--example", "3", "--mode", "inproc", "--recv-timeout", "0"],
-         "timeouts must be positive"),
+         "recv_timeout must be positive"),
         (["verify", "--example", "3", "--mode", "inproc", "--connect-timeout", "0"],
-         "timeouts must be positive"),
+         "connect_timeout must be positive"),
         (["verify", "--example", "3", "--mode", "inproc", "--base-port", "70000"], "port range"),
         (["verify", "--example", "3", "--mode", "inproc", "--kill-node", "1",
           "--after-phase", "srv"], "node 1 never reaches fault point srv in a decent run"),
@@ -700,6 +702,10 @@ class TestCli:
         # example 1's canonical server is node 2, clamped to node 1 in a 2-node run
         (["launch", "--example", "1", "--nodes", "2", "--seed", "1", "--fault-node", "1",
           "--after-phase", "cli"], "node 1 never reaches fault point cli in a cent run"),
+        (["verify", "--example", "3", "--mode", "inproc", "--report", "no-such-dir/report.json"],
+         "cannot write the report to no-such-dir/report.json: No such file or directory"),
+        (["verify", "--example", "3", "--mode", "inproc", "--report", "."],
+         "cannot write the report to .: Is a directory"),
     ])
     def test_bad_run_fails_before_any_node_starts(self, case, monkeypatch, capsys):
         from fltestbed import cli, examples, harness

@@ -1,7 +1,8 @@
-"""Engine runs that share one process share one CPU while two or more are live.
+"""An engine run off the main thread pins itself to the main thread's first CPU.
 
-A run alone in its process keeps the kernel's placement, and every thread
-gets its own CPU set back when its run ends, however the run ends.
+So the in-process nodes of a federation share one CPU. A run on the main
+thread, as in a node process, keeps the kernel's placement, and every
+thread gets its own CPU set back when its run ends, however the run ends.
 """
 
 import os
@@ -12,7 +13,6 @@ from dataclasses import replace
 
 import pytest
 
-from fltestbed import engine
 from fltestbed.engine import CENTRALIZED, DECENTRALIZED, CallbackPair, FlConfig
 from fltestbed.errors import CallbackError
 from fltestbed.examples import Run, example_run, sim_centralized, sim_decentralized
@@ -106,29 +106,26 @@ def test_in_process_nodes_share_one_cpu_and_get_their_own_set_back(kind, no_node
     results, before, after = federation(kind, eng, rec.pair, ldata, no_iters=3,
                                         narrow={no_nodes - 1})
     assert all(approx_eq(r, e) for (r,), e in zip(results, oracle(eng, ldata, 3)))
-    (mask,) = set(rec.masks)
-    assert len(mask) == 1
+    assert set(rec.masks) == {frozenset({min(os.sched_getaffinity(0))})}
     assert before == after
     assert before[-1] == {max(os.sched_getaffinity(0))}
-    assert engine._run_threads == {}
 
 
-def test_a_run_alone_in_its_process_is_not_pinned(monkeypatch):
-    # node 1 is a process of its own, so node 0's is this process's only run
-    calls = []
-    monkeypatch.setattr(os, "sched_setaffinity", lambda *a: calls.append(a))
-    original = os.sched_getaffinity(0)
+def node_0_here_and_node_1_in_a_process():
+    """Run node 0 of a 2-node example-3 run on this thread; node 1 is a `fltestbed node` process.
+
+    Returns the CPU set that each of node 0's client callbacks ran on.
+    """
     run = example_run(3, 2, 2, alloc_base_port(2), seed=5)
     spec = LaunchSpec((sys.executable, "-m", "fltestbed", "node", *run.node_flags()),
                       run.no_nodes, run.fl_srv_id, run.base_port)
     node1 = subprocess.Popen(node_argv(spec, 1), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                              text=True)
     try:
-        masks, live = [], []
+        masks = []
 
         def client(ldata, pdata, msg):
             masks.append(os.sched_getaffinity(0))
-            live.append(dict(engine._run_threads))
             return run.callbacks.client(ldata, pdata, msg)
 
         result = replace(run, callbacks=CallbackPair(client, run.callbacks.server)).run_node(0)
@@ -140,8 +137,14 @@ def test_a_run_alone_in_its_process_is_not_pinned(monkeypatch):
     assert out.startswith("RESULT 1 ")
     assert approx_eq(result, sim_decentralized(*zip(*map(run.node_data, range(2))),
                                                run.callbacks, 2)[0])
-    assert masks == [original] * 2
-    assert live == [{threading.get_native_id(): None}] * 2
+    return masks
+
+
+def test_a_run_alone_in_its_process_is_not_pinned(monkeypatch):
+    calls = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda *a: calls.append(a))
+    original = os.sched_getaffinity(0)
+    assert node_0_here_and_node_1_in_a_process() == [original] * 2
     assert calls == []
 
 
@@ -153,7 +156,6 @@ def test_without_affinity_calls_runs_behave_as_before(monkeypatch):
     assert [r for (r,) in results] == oracle(CENTRALIZED, ldata, 1)
     assert set(rec.masks) == {frozenset(os.sched_getaffinity(0))}
     assert before == after
-    assert engine._run_threads == {}
 
 
 def test_a_thread_that_cannot_be_pinned_runs_unpinned(monkeypatch):
@@ -167,7 +169,6 @@ def test_a_thread_that_cannot_be_pinned_runs_unpinned(monkeypatch):
     assert [r for (r,) in results] == oracle(DECENTRALIZED, ldata, 1)
     assert set(rec.masks) == {frozenset(os.sched_getaffinity(0))}
     assert before == after
-    assert engine._run_threads == {}
 
 
 def _raise_in_client_of_node_1(ldata, pdata, msg):
@@ -176,48 +177,93 @@ def _raise_in_client_of_node_1(ldata, pdata, msg):
     return mean_client(ldata, pdata, msg)
 
 
-def test_registry_is_empty_after_a_clean_run_and_a_callback_error():
+@pytest.fixture
+def run_node_masks(monkeypatch):
+    """Node id -> its thread's CPU set before and after its Run.run_node call."""
+    masks = {}
+    run_node = Run.run_node
+
+    def recording(self, node_id, *args):
+        before = os.sched_getaffinity(0)
+        try:
+            return run_node(self, node_id, *args)
+        finally:
+            masks[node_id] = before, os.sched_getaffinity(0)
+
+    monkeypatch.setattr(Run, "run_node", recording)
+    return masks
+
+
+def test_each_thread_gets_its_set_back_after_a_clean_run_and_a_callback_error():
     ldata = [[1.0], [2.0], [4.0]]
-    results, _, _ = federation("loopback", CENTRALIZED, MEAN, ldata)
+    results, before, after = federation("loopback", CENTRALIZED, MEAN, ldata)
     assert [r for (r,) in results] == oracle(CENTRALIZED, ldata, 1)
-    assert engine._run_threads == {}
+    assert before == after == [os.sched_getaffinity(0)] * 3
 
     failing = CallbackPair(_raise_in_client_of_node_1, mean_server)
     results, before, after = federation("loopback", CENTRALIZED, failing, ldata,
                                         recv_timeout=0.5)
     assert isinstance(results[1][0], CallbackError)
-    assert before == after
-    assert engine._run_threads == {}
+    assert before == after == [os.sched_getaffinity(0)] * 3
 
 
-def test_registry_is_empty_after_a_fault_injected_crash():
+def test_each_thread_gets_its_set_back_after_a_fault_injected_crash(run_node_masks):
     report = run_and_verify(3, MODE_INPROC, kill_node=1, after_phase="p1", recv_timeout=0.5)
     assert report.per_node[1].diagnostic == (
         "FaultInjected: fault injection: node 1 crashing after phase p1")
-    assert engine._run_threads == {}
+    full = os.sched_getaffinity(0)
+    assert run_node_masks == {i: (full, full) for i in range(3)}
 
 
-def test_registry_is_empty_after_a_run_stopped_at_its_deadline():
-    release = threading.Event()
-    stuck = []
+def leave_node_1_stuck(release, masks):
+    """Verify a 3-node run in-process whose node 1 thread blocks in its callback until `release`.
 
+    That thread outlives the run's deadline; `masks` gets the CPU set its callback runs on.
+    """
     def client(ldata, pdata, msg):
         if threading.current_thread().name == "node-1":  # not in the oracle's replay
-            stuck.append(threading.current_thread())
+            masks.append(os.sched_getaffinity(0))
             release.wait(30.0)
         return mean_client(ldata, pdata, msg)
 
     run = Run(CENTRALIZED, CallbackPair(client, mean_server), [[1.0], [2.0], [4.0]],
               recv_timeout=30.0)
-    others = set(threading.enumerate())
     report = verify_run(run, MODE_INPROC, per_node_timeout=0.5)
     assert report.per_node[1].diagnostic == "FlError: node 1 engine thread did not finish"
-    release.set()
+
+
+def join_new_threads(others):
     for t in set(threading.enumerate()) - others:
         t.join(30.0)
         assert not t.is_alive()
-    assert len(stuck) == 1
-    assert engine._run_threads == {}
+
+
+def test_each_thread_gets_its_set_back_after_a_run_stopped_at_its_deadline(run_node_masks):
+    release = threading.Event()
+    stuck = []
+    others = set(threading.enumerate())
+    leave_node_1_stuck(release, stuck)
+    release.set()
+    join_new_threads(others)
+    full = os.sched_getaffinity(0)
+    assert stuck == [{min(full)}]
+    assert run_node_masks == {i: (full, full) for i in range(3)}
+
+
+def test_a_main_thread_run_is_not_pinned_while_a_leaked_node_thread_lives():
+    # the leaked thread is still pinned; the main thread's run must not follow it
+    release = threading.Event()
+    stuck = []
+    others = set(threading.enumerate())
+    original = os.sched_getaffinity(0)
+    try:
+        leave_node_1_stuck(release, stuck)
+        masks = node_0_here_and_node_1_in_a_process()
+    finally:
+        release.set()
+        join_new_threads(others)
+    assert stuck == [{min(original)}]
+    assert masks == [original] * 2
 
 
 def test_three_federations_at_once_under_rapid_thread_switches():
@@ -248,4 +294,3 @@ def test_three_federations_at_once_under_rapid_thread_switches():
     (mask,) = set(rec.masks)
     assert len(mask) == 1
     assert len(rec.masks) == 50 * (4 + 4 * 4 + 4)
-    assert engine._run_threads == {}
