@@ -14,8 +14,10 @@ starts; so does a verify --report path that cannot be written. A node calls
 run.run_node; launch and verify --mode proc spawn the nodes through
 harness.launch_federation, and verify --mode inproc runs them on threads.
 Only launch, verify and fuzz import harness, so a node process loads the
-node library alone. main reuses the parser built at import, so a node
-forked from the zygote inherits it and imports nothing after the fork.
+node library alone. main is prepare, which parses argv on the parser built
+at import and builds a node's run, then the command itself; the zygote
+prepares each node before it forks it, so a forked node inherits its parsed
+argv and its run and imports nothing after the fork.
 
 Exit codes: node exits 0 on success, 1 on protocol/config errors, 2 on a
 receive timeout. verify exits 0 only when every node matched the oracle;
@@ -106,7 +108,7 @@ def _example_run(args) -> Run:
 
 
 def cmd_node(args) -> int:
-    result = _example_run(args).run_node(args.node_id)
+    result = args.run.run_node(args.node_id)
     print(f"RESULT {args.node_id} {dumps(result)}")
     return EXIT_OK
 
@@ -150,9 +152,22 @@ def cmd_fuzz(args) -> int:
 _PARSER = build_parser()
 
 
-def main(argv: list[str] | None = None) -> int:
+def prepare(argv: list[str] | None = None) -> argparse.Namespace:
+    """main's first step: parse argv and, for `node`, build the run it runs.
+
+    It raises or exits as main would on a bad run, a usage error or --help.
+    """
     args = _PARSER.parse_args(argv)
+    if args.func is cmd_node:
+        args.run = _example_run(args)
+    return args
+
+
+def main(argv: list[str] | None = None, prepared: argparse.Namespace | None = None) -> int:
+    """Run argv as `fltestbed` does: prepare it, unless `prepared` is what
+    prepare(argv) returned already, then run its command."""
     try:
+        args = prepare(argv) if prepared is None else prepared
         return args.func(args)
     except ProtocolTimeout as e:
         print(f"error: {e}", file=sys.stderr)

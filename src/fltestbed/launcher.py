@@ -3,9 +3,11 @@
 Every node gets the launch spec's fixed argument list plus its own identity flags
 (--no-nodes, --node-id, --fl-srv-id, --base-port). The node program
 (`python -m fltestbed node ...`) is forked by a warm fltestbed.zygote, kept
-while the interpreter, environment and working directory stay the same;
-any other program, or any program where os.fork or socket.send_fds is
-missing, is spawned afresh. The launcher waits for
+while the interpreter, environment and working directory stay the same:
+the launcher sends every node's request before it reads a reply, so the
+zygote prepares the whole launch before it forks any node. Any other
+program, or any program where os.fork or socket.send_fds is missing, is
+spawned afresh. The launcher waits for
 all nodes to exit, enforcing one shared deadline; survivors past the
 deadline are terminated (SIGTERM, then SIGKILL after a 2 s grace period),
 so a launch always returns within per_node_timeout plus the grace window.
@@ -58,6 +60,7 @@ class NodeOutcome:
     stderr: str
     wall_time: float
     timed_out: bool = False
+    pid: int | None = None  # launch_all always sets it
 
 
 @dataclass
@@ -144,7 +147,7 @@ def launch_all(spec: LaunchSpec) -> LaunchResult:
 
     per_node = [
         NodeOutcome(node_id, proc.returncode, *outputs[node_id], wall_time=ended[node_id],
-                    timed_out=node_id in hung)
+                    timed_out=node_id in hung, pid=proc.pid)
         for node_id, proc in enumerate(procs)
     ]
     overall = not hung and all(o.exit_code == 0 for o in per_node)
@@ -168,9 +171,9 @@ def _launch_forked(spec: LaunchSpec, zygote: _Zygote, started: float) -> LaunchR
             finally:
                 for fd in (r0, w0, w1, w2):
                     os.close(fd)
-            zygote.reply()  # its pid; one request at a time keeps each one's fds apart
         left = spec.per_node_timeout - (time.monotonic() - started)
         zygote.sock.sendall(b"wait %r %r\n" % (max(0.0, left), TERMINATION_GRACE))
+        pids = zygote.reply()
         while sel.get_map():  # the zygote ends every node by the deadline plus the grace period
             for key, _ in sel.select():
                 if chunk := os.read(key.fd, 65536):
@@ -185,7 +188,8 @@ def _launch_forked(spec: LaunchSpec, zygote: _Zygote, started: float) -> LaunchR
             os.close(key.fd)
         sel.close()
     per_node = [NodeOutcome(node_id, codes[node_id], _text(out), _text(err),
-                            wall_time=ended[node_id], timed_out=node_id in hung)
+                            wall_time=ended[node_id], timed_out=node_id in hung,
+                            pid=pids[node_id])
                 for node_id, (out, err) in enumerate(output)]
     overall = not hung and all(o.exit_code == 0 for o in per_node)
     return LaunchResult(per_node=per_node, overall_success=overall)

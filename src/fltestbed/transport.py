@@ -7,11 +7,13 @@ many body bytes; the body is a text object with keys src, dst, phase,
 iter, payload in that fixed order and no whitespace, payload in canonical
 value form. The decoder accepts only that header and parses the payload
 with values.loads, the parser of RESULT lines, so a hop returns exactly the
-payload that was sent. A TCP frame that is malformed, or addressed to
-another node, drops its connection and fails the node's receive. A
-receive names its expected senders and takes exactly one envelope from
-each; messages that do not match the (phase, iteration) a node is
-currently waiting for stay buffered, never dropped.
+payload that was sent. A frame split across reads is read into one buffer
+of its announced length, so a large frame is held once, not chunk by chunk;
+a length over _MAX_FRAME (256 MiB) counts as malformed. A TCP frame that is
+malformed, or addressed to another node, drops its connection and fails
+the node's receive. A receive names its expected senders and takes
+exactly one envelope from each; messages that do not match the (phase,
+iteration) a node is currently waiting for stay buffered, never dropped.
 
 Both transports share one send path: the route checks, one validation of
 the payload, then one delivery per destination. Only what crosses differs.
@@ -123,6 +125,9 @@ _LENGTH = struct.Struct("!I")
 # Bytes read per ready socket and select round. Larger reads cost more than
 # they save: recv allocates the full chunk on every call.
 _RECV_CHUNK = 64 * 1024
+# Longest frame body a receiver allocates a buffer for: about 13 million
+# numbers. A longer length prefix is garbage, not a frame to wait for.
+_MAX_FRAME = 256 * 1024 * 1024
 # Longest wait between connect attempts; the backoff starts at 1 ms.
 _RETRY_MAX = 0.1
 _RESET = struct.pack("ii", 1, 0)  # SO_LINGER on for 0 s: close sends a reset, not a FIN
@@ -156,7 +161,7 @@ def decode_body(body: bytes) -> Envelope:
     phase = _PHASE_OF_TAG.get(bytes(m[3]))  # bytes(): a bytearray body's group is unhashable
     if phase is None:
         raise ParseError(f"unknown phase tag {m[3].decode('ascii')!r}", m.start(3))
-    payload = loads(body[m.end():-1])  # the one payload validation on receipt
+    payload = loads(memoryview(body)[m.end():-1])  # the one payload validation on receipt
     try:
         return Envelope(int(m[1]), int(m[2]), phase, int(m[4]), payload)
     except (UsageError, ValueError) as e:  # ValueError: an int past Python's digit limit
@@ -321,6 +326,18 @@ class _Transport:
         return self._buffer.take(phase, iteration, senders, self.recv_timeout)
 
 
+class _Partial:
+    """What an accepted connection has of its next frame: the first bytes
+    of a length prefix, or the buffer of a body split across reads."""
+
+    __slots__ = ("head", "body", "filled")
+
+    def __init__(self):
+        self.head = b""  # fewer than 4 bytes
+        self.body: bytearray | None = None  # the announced length, filled up to `filled`
+        self.filled = 0
+
+
 class TcpTransport(_Transport):
     """Wire transport for one node; owns the listening socket.
 
@@ -359,9 +376,9 @@ class TcpTransport(_Transport):
     def _pump(self, timeout: float | None) -> None:
         """One select round: accept connections and read every ready one.
 
-        Each accepted connection carries a bytearray of not yet complete
-        frame bytes; an outbound socket is registered (without one) only
-        while a send waits for it to become writable.
+        Each accepted connection carries the _Partial frame it has begun;
+        an outbound socket is registered (without one) only while a send
+        waits for it to become writable.
         """
         for key, _ in self._sel.select(timeout):
             if key.fileobj is self._listener:
@@ -370,49 +387,67 @@ class TcpTransport(_Transport):
                 except OSError:
                     continue
                 conn.setblocking(False)
-                self._sel.register(conn, selectors.EVENT_READ, bytearray())
+                self._sel.register(conn, selectors.EVENT_READ, _Partial())
             elif key.data is not None:
                 self._read(key.fileobj, key.data)
 
-    def _read(self, conn: socket.socket, pending: bytearray) -> None:
+    def _read(self, conn: socket.socket, partial: _Partial) -> None:
         try:
-            data = conn.recv(_RECV_CHUNK)
+            if partial.body is None:
+                data = conn.recv(_RECV_CHUNK)
+                got = len(data)
+            else:  # the rest of a split frame goes straight into its buffer
+                got = conn.recv_into(memoryview(partial.body)[partial.filled:])
         except BlockingIOError:
             return
         except OSError:
-            data = b""  # a reset counts as the peer closing
-        if not data:
+            got = 0  # a reset counts as the peer closing
+        if not got:
             self._drop(conn)
-            if pending:
+            if partial.head or partial.body is not None:
                 self._buffer.fail(TransportError("peer closed mid-frame"))
             return  # at a frame boundary, a close is silent
-        # Frames that arrive whole are decoded straight from the chunk; only
-        # a frame split across reads waits in the bytearray.
-        if pending:
-            pending += data
-            data = pending
+        if partial.body is not None:
+            partial.filled += got
+            if partial.filled == len(partial.body):
+                body, partial.body = partial.body, None
+                self._file(conn, body)
+            return
+        # Frames that arrive whole are decoded straight from the chunk.
+        if partial.head:
+            data, partial.head = partial.head + data, b""
         pos, size = 0, len(data)
         while size - pos >= 4:
             end = pos + 4 + _LENGTH.unpack_from(data, pos)[0]
             if end > size:
                 break
-            try:
-                env = decode_body(data[pos + 4:end])
-                if env.dst != self.node_id:
-                    raise TransportError(
-                        f"frame for node {env.dst} arrived at node {self.node_id}"
-                    )
-            except Exception as e:  # malformed or misaddressed frame: poison pending receives
-                self._drop(conn)
-                self._buffer.fail(e)
+            if not self._file(conn, data[pos + 4:end]):
                 return
-            self._buffer.put(env)
-            self._heard.add(env.src)
             pos = end
-        if data is pending:
-            del pending[:pos]
-        elif pos < size:
-            pending += memoryview(data)[pos:]
+        if size - pos < 4:
+            partial.head = data[pos:]
+        elif end - pos - 4 > _MAX_FRAME:
+            self._drop(conn)
+            self._buffer.fail(TransportError(
+                f"frame of {end - pos - 4} bytes announced, over the {_MAX_FRAME}-byte limit"))
+        else:  # a frame split across reads: a buffer of its announced length takes it
+            partial.body = bytearray(end - pos - 4)
+            partial.filled = size - pos - 4
+            partial.body[:partial.filled] = memoryview(data)[pos + 4:]
+
+    def _file(self, conn: socket.socket, body) -> bool:
+        """Decode one frame body and file it; False if that failed and dropped `conn`."""
+        try:
+            env = decode_body(body)
+            if env.dst != self.node_id:
+                raise TransportError(f"frame for node {env.dst} arrived at node {self.node_id}")
+        except Exception as e:  # malformed or misaddressed frame: poison pending receives
+            self._drop(conn)
+            self._buffer.fail(e)
+            return False
+        self._buffer.put(env)
+        self._heard.add(env.src)
+        return True
 
     def _drop(self, conn: socket.socket) -> None:
         self._sel.unregister(conn)

@@ -122,14 +122,25 @@ def _write(v: Value) -> str:
     return format_number(v)
 
 
+_FLOAT_BLOCK = 4096
+
+
 def _write_floats(v: list[float]) -> str:
     """format_number over a list of finite floats, with one repr per item.
 
     Below 1e16 the repr of an integral double is its integer digits plus
     ".0", which format_number drops ("2.0" -> "2", "-0.0" -> "-0"). From
     1e16 up repr switches to exponent form ("e+"), where the integer digits
-    may be the shorter text, so those lists go item by item.
+    may be the shorter text, so those lists go item by item. A list longer
+    than _FLOAT_BLOCK is written a block at a time: all its reprs at once
+    would cost a str object per item, several times the text.
     """
+    if len(v) > _FLOAT_BLOCK:
+        parts = [_write_floats(v[start:start + _FLOAT_BLOCK])[1:-1]
+                 for start in range(0, len(v), _FLOAT_BLOCK)]
+        parts[0] = "[" + parts[0]
+        parts[-1] += "]"
+        return ",".join(parts)
     text = ",".join(map(float.__repr__, v))
     if "e+" in text:
         return "[" + ",".join(map(format_number, v)) + "]"
@@ -173,12 +184,13 @@ def loads(text: str | bytes) -> Value:
         except UnicodeEncodeError as e:
             raise ParseError("non-ASCII byte in payload text", e.start) from None
     else:
-        data, text = bytes(text), None  # a bytes object is not copied
+        data, text = bytes(text), None  # a bytes object is not copied; a memoryview is
     foreign = data.translate(None, _PAYLOAD_BYTES)
     if foreign:
         raise ParseError(f"unexpected byte {foreign[:1]!r} in payload", data.index(foreign[:1]))
     if text is None:
         text = data.decode("ascii")
+    del data  # a copy of a frame's payload: the parse then holds the text alone
     try:
         value, end = _SCAN(text, 0)
         if end != len(text):
@@ -191,7 +203,7 @@ def loads(text: str | bytes) -> Value:
     except SerializationError:
         # the parsed tree holds floats and lists, so the fault is a null
         # inside a list or a number that overflowed to inf
-        null = data.find(b"null")
+        null = text.find("null")
         if null >= 0:
             raise ParseError("null is only allowed as the whole payload", null) from None
         raise ParseError("number out of double-precision range") from None

@@ -1,21 +1,30 @@
 """Forks node processes from one warm interpreter for fltestbed.launcher.
 
 `python -m fltestbed.zygote LAUNCHER_PID CTRL_FD` imports the node library
-once, cli's parser built with it, then serves the Unix socket CTRL_FD.
-`run <json argv>`, sent with three fds, forks a child that makes them its
-fds 0-2 and runs argv as `python -m fltestbed` would, on the inherited
-parser and modules, so a node imports nothing after the fork; the reply
-is its pid. `wait <seconds> <grace>` ends the launch: at the deadline the
-children still running get SIGTERM, then SIGKILL after the grace period;
-once all are reaped the reply is [exit codes as Popen.returncode gives
-them, timed-out indices].
+once, cli's parser built with it, then serves the Unix socket CTRL_FD. A
+launch is every node's `run <json argv>`, each sent with the node's three
+fds, then `wait <seconds> <grace>`. On `run` the zygote only prepares the
+node: cli.prepare parses argv and builds its run, with whatever that prints
+discarded. On `wait` it forks every prepared node back to back and replies
+with their pids; each child closes the other nodes' fds, makes its own its
+fds 0-2 and runs the rest of cli.main on what was prepared, so a node
+imports nothing and parses nothing after the fork. A node whose prepare
+raised or exited runs all of cli.main on its argv instead, and so prints
+what `python -m fltestbed` would. Preparing the whole launch before the
+first fork means no node of it is alive while the zygote writes to its
+pages, so neither side copies a page for the other's writes. At the
+deadline the children still running get SIGTERM, then SIGKILL after the
+grace period; once all are reaped the second reply is [exit codes as
+Popen.returncode gives them, timed-out indices].
 No other thread runs here, so a fork copies none, and only this process
 reaps or signals the children, so no signal reaches a reused pid. At EOF
 it kills and reaps its children and leaves by os._exit, skipping its
 atexit handlers, which the children run.
 """
 
+import argparse
 import atexit
+import io
 import json
 import os
 import select
@@ -27,13 +36,29 @@ import time
 from . import cli
 
 
-def _serve(ctrl: socket.socket) -> list[str]:
-    """Serve launches until EOF; returns only in a forked child, with its argv."""
+def _prepare(argv: list[str]) -> argparse.Namespace | None:
+    """cli.prepare(argv) with its output discarded, or None if it raised or exited."""
+    saved = sys.stdout, sys.stderr
+    sys.stdout = sys.stderr = io.StringIO()  # text left in a buffer here would reach every later fork
+    try:
+        return cli.prepare(argv)
+    except (Exception, SystemExit):
+        return None
+    finally:
+        sys.stdout, sys.stderr = saved
+
+
+def _serve(ctrl: socket.socket) -> tuple[list[str], argparse.Namespace | None]:
+    """Serve launches until EOF; returns only in a forked child, with its argv and what
+    _prepare made of it."""
     wake_r, wake_w = os.pipe()
     os.set_blocking(wake_w, False)
     signal.set_wakeup_fd(wake_w)
     signal.signal(signal.SIGCHLD, lambda *_: None)
     live: dict[int, int] = {}  # pid -> index in this launch, until reaped
+    # (argv, prepared, its 3 fds) per node of this launch; kept until its
+    # nodes are reaped, so freeing it copies no page a node shares
+    batch = []
     codes, hung, buf, fds, pid = [], [], b"", [], None
     waiting, deadline, grace, sig = False, 0.0, 0.0, None  # sig: the next one the deadline sends
     try:
@@ -47,35 +72,43 @@ def _serve(ctrl: socket.socket) -> list[str]:
             if ctrl in ready:
                 data, got, _, _ = socket.recv_fds(ctrl, 65536, 3)
                 if not data:
-                    return []  # leaves through finally
-                fds += got
+                    return [], None  # leaves through finally
+                fds += got  # a run line's fds come with its bytes, so they queue in line order
                 *lines, buf = (buf + data).split(b"\n")
                 for line in lines:
                     cmd, _, arg = line.partition(b" ")
-                    if cmd == b"wait":
-                        seconds, grace = map(float, arg.split())
-                        waiting, deadline, sig = True, time.monotonic() + seconds, signal.SIGTERM
+                    if cmd == b"run":
+                        argv = json.loads(arg)
+                        batch.append((argv, _prepare(argv), fds[:3]))
+                        del fds[:3]
                         continue
-                    pid = os.fork()
-                    if pid == 0:
-                        ctrl.close()
-                        os.close(wake_r)
-                        os.close(wake_w)
-                        signal.set_wakeup_fd(-1)
-                        signal.signal(signal.SIGCHLD, signal.SIG_DFL)
-                        for target, fd in enumerate(fds[:3]):
-                            os.dup2(fd, target)
+                    seconds, grace = map(float, arg.split())
+                    for argv, prepared, own in batch:
+                        pid = os.fork()
+                        if pid == 0:
+                            ctrl.close()
+                            os.close(wake_r)
+                            os.close(wake_w)
+                            signal.set_wakeup_fd(-1)
+                            signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+                            for _, _, other in batch:  # a sibling's pipe end held here would delay its EOF
+                                if other is not own:
+                                    for fd in other:
+                                        os.close(fd)
+                            for target, fd in enumerate(own):
+                                os.dup2(fd, target)
+                                os.close(fd)
+                            return argv, prepared
+                        live[pid] = len(codes)
+                        codes.append(None)
+                    for _, _, own in batch:
+                        for fd in own:
                             os.close(fd)
-                        return json.loads(arg)
-                    for fd in fds[:3]:
-                        os.close(fd)
-                    del fds[:3]
-                    live[pid] = len(codes)
-                    codes.append(None)
-                    ctrl.sendall(b"%d\n" % pid)
+                    ctrl.sendall(json.dumps(list(live)).encode("ascii") + b"\n")  # in fork order
+                    waiting, deadline, sig = True, time.monotonic() + seconds, signal.SIGTERM
             if waiting and not live:
                 ctrl.sendall(json.dumps([codes, hung]).encode("ascii") + b"\n")
-                codes, hung, waiting, sig = [], [], False, None
+                codes, hung, batch, waiting, sig = [], [], [], False, None
             elif sig and time.monotonic() >= deadline:
                 for target in live:
                     os.kill(target, sig)
@@ -93,9 +126,9 @@ def _serve(ctrl: socket.socket) -> list[str]:
 
 
 if __name__ == "__main__":
-    argv = _serve(socket.socket(fileno=int(sys.argv[2])))
+    argv, prepared = _serve(socket.socket(fileno=int(sys.argv[2])))
     sys.argv = [os.path.join(os.path.dirname(cli.__file__), "__main__.py"), *argv]
-    code = cli.main()  # an exception or exit leaves by the interpreter's own way out
+    code = cli.main(argv, prepared)  # an exception or exit leaves by the interpreter's own way out
     # That way out touches, and so copies, every page the child shares with
     # the zygote: it doubled a node's exit time. atexit handlers and stdio
     # are all of it that a node needs.

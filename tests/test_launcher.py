@@ -75,6 +75,20 @@ class TestNodeArgv:
         assert sorted(ids) == ["0", "1", "2", "3"]
 
 
+@pytest.mark.parametrize("forked", [False, True])
+def test_outcomes_name_pids_that_are_reaped(forked):
+    program = _node_program(2) if forked else ECHO_ARGS
+    spec = LaunchSpec(program=program, no_nodes=3, fl_srv_id=0, base_port=alloc_base_port(3),
+                      per_node_timeout=30.0)
+    result = launch_all(spec)
+    assert result.overall_success
+    pids = [o.pid for o in result.per_node]
+    assert len(set(pids)) == 3 and all(pid > 0 for pid in pids)
+    for pid in pids:  # reaped by the launcher, or by the zygote before it replied
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 class TestFederationLaunch:
     def test_example2_all_exit_zero(self):
         base = alloc_base_port(3)
@@ -137,6 +151,9 @@ class TestTimeouts:
         assert [o.timed_out for o in result.per_node] == [True, False, True]
         assert [o.exit_code for o in result.per_node] == [-signal.SIGTERM, 1, -signal.SIGTERM]
         assert "error:" in result.outcome(1).stderr
+        # its pipes reach EOF when it exits: a sibling holding one open would
+        # keep it from the launcher until the deadline
+        assert result.outcome(1).wall_time < 0.5
         assert not result.overall_success
         assert elapsed < 1.0 + launcher.TERMINATION_GRACE
 
@@ -153,7 +170,9 @@ def _record():
     with open(f"/proc/{os.getppid()}/status") as f:
         threads = int(next(ln.split()[1] for ln in f if ln.startswith("Threads:")))
     with open(os.path.join(os.environ["NODE_PROBE_DIR"], f"{os.getpid()}.json"), "w") as f:
-        json.dump({"ppid": os.getppid(), "parent_threads": threads, "modules": sorted(sys.modules),
+        json.dump({"pid": os.getpid(), "ppid": os.getppid(), "parent_threads": threads,
+                   "node_id": int(sys.argv[sys.argv.index("--node-id") + 1]),
+                   "modules": sorted(sys.modules),
                    "imported_after_fork": sorted(set(sys.modules) - _at_fork)}, f)
 
 os.register_at_fork(after_in_child=lambda: _at_fork.update(sys.modules))
@@ -174,11 +193,15 @@ class TestForkedNodes:
         monkeypatch.setenv("NODE_PROBE_DIR", str(records))
 
         def launch(run):
-            assert launch_federation(run).overall_success
+            result = launch_federation(run)
+            assert result.overall_success
             paths = sorted(records.iterdir())
             found = [json.loads(p.read_text()) for p in paths]
             for p in paths:
                 p.unlink()
+            # each node's outcome names the pid that wrote its record
+            assert sorted((r["node_id"], r["pid"]) for r in found) == [
+                (o.node_id, o.pid) for o in result.per_node]
             return found
         return launch
 
@@ -214,17 +237,42 @@ class TestForkedNodes:
         ("--example", "3", "--seed", "4", "--iters", "2"),
         ("--example", "2", "--iters", "0"),  # a bad run: one `error:` line, exit 1
         ("--example", "9"),  # argparse: usage on stderr, exit 2
+        ("--help",),  # usage on stdout, exit 0
     ])
-    def test_forked_node_gives_what_a_spawned_one_gives(self, flags):
-        # `-m fltestbed.__main__` runs the same node program in a fresh interpreter
-        outcomes = []
-        for module in ("fltestbed", "fltestbed.__main__"):
-            spec = LaunchSpec((sys.executable, "-m", module, "node", *flags), no_nodes=3,
-                              fl_srv_id=0, base_port=alloc_base_port(3), per_node_timeout=30.0)
-            outcomes.append([(o.exit_code, o.stdout, o.stderr, o.timed_out)
-                             for o in launch_all(spec).per_node])
-        assert outcomes[0] == outcomes[1]
-        assert outcomes[0][0][1] or outcomes[0][0][2]
+    def test_forked_node_gives_what_a_spawned_one_gives(self, flags, monkeypatch):
+        # `-m fltestbed.__main__` runs the same node program in a fresh interpreter.
+        # Without PYTHONUNBUFFERED, text the zygote left in a stdio buffer would
+        # be written again by every node forked after it.
+        for unbuffered in (True, False):
+            if unbuffered:
+                monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+            else:
+                monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+            outcomes = []
+            for module in ("fltestbed", "fltestbed.__main__"):
+                spec = LaunchSpec((sys.executable, "-m", module, "node", *flags), no_nodes=3,
+                                  fl_srv_id=0, base_port=alloc_base_port(3),
+                                  per_node_timeout=30.0)
+                outcomes.append([(o.exit_code, o.stdout, o.stderr, o.timed_out)
+                                 for o in launch_all(spec).per_node])
+            assert outcomes[0] == outcomes[1], f"PYTHONUNBUFFERED set: {unbuffered}"
+            assert outcomes[0][0][1] or outcomes[0][0][2]
+
+    def test_each_of_32_forked_nodes_writes_to_its_own_pipes(self, tmp_path, monkeypatch):
+        # the launch's 96 fds travel in requests sent back to back, and every
+        # node holds all of them between its fork and its first steps
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(
+            "import atexit, sys\n"
+            "atexit.register(lambda: print('exit', sys.argv[sys.argv.index('--node-id') + 1],"
+            " file=sys.stderr))\n")
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join([str(site), os.environ["PYTHONPATH"]]))
+        result = launch_federation(example_run(2, 32, seed=1, base_port=alloc_base_port(32)))
+        assert result.overall_success
+        for o in result.per_node:
+            assert o.stdout.startswith(f"RESULT {o.node_id} ") and o.stdout.count("\n") == 1
+            assert o.stderr == f"exit {o.node_id}\n"
 
     def test_one_warm_zygote_follows_the_environment(self, monkeypatch):
         def launch():

@@ -7,6 +7,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import pytest
@@ -933,6 +934,39 @@ class TestTcpReceivePaths:
             assert got[1] == payloads[0]
         finally:
             close()
+
+    def test_large_frame_is_held_once_while_it_is_read(self):
+        # a 9.63 MB frame: appending each read to a bytearray, then slicing
+        # and copying the payload, peaked at 55.5 MB; two copies of the
+        # frame are 19.3 MB
+        nodes, close = _federation("tcp", 2, recv_timeout=60.0)
+        rng = random.Random(7)
+        payload = [rng.random() for _ in range(500_000)]
+        env = Envelope(1, 0, Phase.DEC_P1, 0, payload)
+        assert len(encode_frame(env)) > 9.6e6
+        tracemalloc.start()
+        try:
+            sender = threading.Thread(target=nodes[1].send, args=(env,))
+            sender.start()
+            (got,) = nodes[0].recv_matching(Phase.DEC_P1, 0, (1,))
+            sender.join(60.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            close()
+        assert got.payload == payload
+        assert peak < 55.5e6 - 15e6
+
+    def test_length_prefix_over_the_limit_fails_the_receive(self):
+        # no buffer of the announced length is allocated for it
+        node = self._node()
+        peer = _raw_peer(node.port, struct.pack("!I", transport._MAX_FRAME + 1) + b"{")
+        try:
+            with pytest.raises(TransportError, match="over the 268435456-byte limit"):
+                node.recv_matching(Phase.CLI_DATA, 0, (1,))
+        finally:
+            peer.close()
+            node.close()
 
     def test_peer_closing_mid_frame_fails_receive(self):
         node = self._node()

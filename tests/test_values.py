@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fltestbed.errors import ParseError, SerializationError, UsageError
 from fltestbed.values import (
+    _FLOAT_BLOCK,
     approx_eq,
     canonical_copy,
     dumps,
@@ -189,6 +190,17 @@ def test_flat_float_fast_path_matches_generic_writer(v):
     assert dumps(v) == _generic_write(v)
     assert dumps([v]) == "[" + _generic_write(v) + "]"
     validate_value(v)
+
+
+@pytest.mark.parametrize("size", [_FLOAT_BLOCK, _FLOAT_BLOCK + 1, 3 * _FLOAT_BLOCK + 5])
+@pytest.mark.parametrize("big_at", [None, 0, -1])
+def test_long_float_list_written_by_blocks_matches_generic_writer(size, big_at):
+    # each block picks repr or item-by-item on its own; a 1e16 in one block
+    # must not change the text of the others
+    v = [i / 3 if i % 5 else float(i) for i in range(size)]
+    if big_at is not None:
+        v[big_at] = 1e16
+    assert dumps(v) == _generic_write(v)
 
 
 def test_fast_path_edge_values():
