@@ -954,6 +954,7 @@ class TestTcpReceivePaths:
         finally:
             tracemalloc.stop()
             close()
+        assert not sender.is_alive()
         assert got.payload == payload
         assert peak < 55.5e6 - 15e6
 
