@@ -426,14 +426,17 @@ class TcpTransport(_Transport):
             pos = end
         if size - pos < 4:
             partial.head = data[pos:]
-        elif end - pos - 4 > _MAX_FRAME:
+            return
+        # a frame split across reads: a buffer of its announced length takes it
+        length = end - pos - 4
+        if length > _MAX_FRAME:
             self._drop(conn)
             self._buffer.fail(TransportError(
-                f"frame of {end - pos - 4} bytes announced, over the {_MAX_FRAME}-byte limit"))
-        else:  # a frame split across reads: a buffer of its announced length takes it
-            partial.body = bytearray(end - pos - 4)
-            partial.filled = size - pos - 4
-            partial.body[:partial.filled] = memoryview(data)[pos + 4:]
+                f"frame of {length} bytes announced, over the {_MAX_FRAME}-byte limit"))
+            return
+        partial.body = bytearray(length)
+        partial.filled = size - pos - 4
+        partial.body[:partial.filled] = memoryview(data)[pos + 4:]
 
     def _file(self, conn: socket.socket, body) -> bool:
         """Decode one frame body and file it; False if that failed and dropped `conn`."""
