@@ -16,9 +16,13 @@ from seed to seed. The last stdout line of a run is its result line.
 
 BENCH_<pr>.json, at the root of the repository, holds what, machine,
 commits, method, summary, verdicts and runs: per workload and end-to-end
-metric, the median, quartiles, min, max and n of each side, the pairs in
-which the change is lower and the ratio of the medians; a verdict against
-the metric's bound; and every result line. A metric whose parent
+metric, the median, quartiles, min, max and n of each side, each side's
+interquartile range over its median (its spread), the pairs in which the
+change is lower and the ratio of the medians; a verdict against the
+metric's bound; and every result line. Passing the same REV as --parent
+and --change makes an A/A run: both sides run one commit, so the spreads
+and the ratio of the medians show how far a metric moves by chance, to
+hold against its bound. A metric whose parent
 interquartile range is wider than its bound is "unresolved", unless every
 change run is better than every parent run. A claimed gain (--claim) is
 met when the change is better in at least nine of ten pairs, its median is
@@ -115,6 +119,9 @@ def summarize(runs: list[dict], workloads: list[str], metrics: list[dict]) -> di
                 continue
             both = [v for v in values if None not in v.values()]
             s = entry[name] = {side: _stats(per_side[side]) for side in SIDES}
+            s["iqr_over_median"] = {
+                side: round((s[side]["q3"] - s[side]["q1"]) / s[side]["median"], 4)
+                if s[side]["median"] else None for side in SIDES}
             s["change_lower_in_pairs"] = f"{sum(v['change'] < v['parent'] for v in both)}/{len(pairs)}"
             if m["better"] == "higher":
                 s["change_higher_in_pairs"] = \

@@ -17,7 +17,7 @@ Only launch, verify and fuzz import harness, so a node process loads the
 node library alone. main is prepare, which parses argv on the parser built
 at import and builds a node's run, then the command itself; the zygote
 prepares each node before it forks it, so a forked node inherits its parsed
-argv and its run and imports nothing after the fork.
+argv, its run and its bound listener, and imports nothing after the fork.
 
 Exit codes: node exits 0 on success, 1 on protocol/config errors, 2 on a
 receive timeout. verify exits 0 only when every node matched the oracle;
@@ -108,7 +108,9 @@ def _example_run(args) -> Run:
 
 
 def cmd_node(args) -> int:
-    result = args.run.run_node(args.node_id)
+    if isinstance(args.listener, FlError):  # the zygote could not bind this node's port
+        raise args.listener
+    result = args.run.run_node(args.node_id, listener=args.listener)
     print(f"RESULT {args.node_id} {dumps(result)}")
     return EXIT_OK
 
@@ -159,7 +161,7 @@ def prepare(argv: list[str] | None = None) -> argparse.Namespace:
     """
     args = _PARSER.parse_args(argv)
     if args.func is cmd_node:
-        args.run = _example_run(args)
+        args.run, args.listener = _example_run(args), None  # the node binds its own port
     return args
 
 

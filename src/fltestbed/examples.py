@@ -277,13 +277,13 @@ class Run:
         """
         return _own_copy(self.ldata[node_id]), _own_copy(self.pdata[node_id])
 
-    def run_node(self, node_id: int, transport=None) -> Value:
-        """Node `node_id`'s share of the run, over TCP unless a transport is given.
-        The fault node's transport crashes it; the port is released on return."""
+    def run_node(self, node_id: int, transport=None, listener=None) -> Value:
+        """Node `node_id`'s share of the run, over TCP (on `listener`, if bound) unless
+        a transport is given. The fault node's transport crashes it; the port is freed on return."""
         cfg = self.config(node_id)
+        transport = TcpTransport(cfg, listener) if transport is None else transport
         if node_id == self.fault_node:
-            transport = CrashingTransport(
-                TcpTransport(cfg) if transport is None else transport, node_id, self.after_phase)
+            transport = CrashingTransport(transport, node_id, self.after_phase)
         inst = FlInstance(cfg, transport)
         try:
             run = inst.fl_centralized if self.engine == CENTRALIZED else inst.fl_decentralized

@@ -5,7 +5,8 @@ Every node gets the launch spec's fixed argument list plus its own identity flag
 (`python -m fltestbed node ...`) is forked by a warm fltestbed.zygote, kept
 while the interpreter, environment and working directory stay the same:
 the launcher sends every node's request before it reads a reply, so the
-zygote prepares the whole launch before it forks any node. Any other
+zygote prepares the whole launch, every node's listener bound, before it
+forks any node, and reports each node's CPU time and peak RSS. Any other
 program, or any program where os.fork or socket.send_fds is missing, is
 spawned afresh. The launcher waits for
 all nodes to exit, enforcing one shared deadline; survivors past the
@@ -61,6 +62,8 @@ class NodeOutcome:
     wall_time: float
     timed_out: bool = False
     pid: int | None = None  # launch_all always sets it
+    cpu_s: float | None = None  # user and system CPU time and peak RSS, from the
+    max_rss_mb: float | None = None  # zygote's os.wait4: forked nodes only
 
 
 @dataclass
@@ -182,14 +185,13 @@ def _launch_forked(spec: LaunchSpec, zygote: _Zygote, started: float) -> LaunchR
                     sel.unregister(key.fd)
                     os.close(key.fd)
                     ended[key.data[0]] = time.monotonic() - started
-        codes, hung = zygote.reply()
+        codes, hung, usage = zygote.reply()
     finally:
         for key in list(sel.get_map().values()):
             os.close(key.fd)
         sel.close()
-    per_node = [NodeOutcome(node_id, codes[node_id], _text(out), _text(err),
-                            wall_time=ended[node_id], timed_out=node_id in hung,
-                            pid=pids[node_id])
+    per_node = [NodeOutcome(node_id, codes[node_id], _text(out), _text(err), ended[node_id],
+                            node_id in hung, pids[node_id], *usage[node_id])
                 for node_id, (out, err) in enumerate(output)]
     overall = not hung and all(o.exit_code == 0 for o in per_node)
     return LaunchResult(per_node=per_node, overall_success=overall)

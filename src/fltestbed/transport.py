@@ -338,8 +338,23 @@ class _Partial:
         self.filled = 0
 
 
+def listen(node_id: int, port: int, backlog: int) -> socket.socket:
+    """Node `node_id`'s non-blocking listener on 127.0.0.1:`port` (0: one the OS picks)."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+    try:
+        listener.bind(("127.0.0.1", port))
+        listener.listen(backlog)
+    except OSError as e:
+        listener.close()
+        raise TransportError(f"node {node_id} cannot bind port {port}: {e}") from e
+    listener.setblocking(False)
+    return listener
+
+
 class TcpTransport(_Transport):
-    """Wire transport for one node; owns the listening socket.
+    """Wire transport for one node; owns its listener, bound by `listen` here
+    or, for a forked node, by the zygote before it forked any node of the launch.
 
     It starts no threads. One selector holds the non-blocking listener and
     every accepted connection, and the thread that owns the handle runs it:
@@ -354,24 +369,15 @@ class TcpTransport(_Transport):
     once.
     """
 
-    def __init__(self, cfg: FlConfig):
+    def __init__(self, cfg: FlConfig, listener: socket.socket | None = None):
         super().__init__(cfg.node_id, cfg.no_nodes, cfg.recv_timeout, _MessageBuffer(self._pump))
         self.cfg = cfg
         self.port = cfg.base_port + cfg.node_id
         self._out: dict[int, socket.socket] = {}
         self._heard: set[int] = set()  # nodes a frame has come from, so they have bound
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            listener.bind(("127.0.0.1", self.port))
-            listener.listen(cfg.no_nodes)
-        except OSError as e:
-            listener.close()
-            raise TransportError(f"node {cfg.node_id} cannot bind port {self.port}: {e}") from e
-        listener.setblocking(False)
-        self._listener = listener
+        self._listener = listener or listen(cfg.node_id, self.port, cfg.no_nodes)
         self._sel = selectors.DefaultSelector()
-        self._sel.register(listener, selectors.EVENT_READ)
+        self._sel.register(self._listener, selectors.EVENT_READ)
 
     def _pump(self, timeout: float | None) -> None:
         """One select round: accept connections and read every ready one.
@@ -464,6 +470,8 @@ class TcpTransport(_Transport):
             # not create_connection: its getaddrinfo imports idna in every forked node
             sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             try:
+                # so that its TIME_WAIT entry keeps no later listener off its port
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 sock.settimeout(self.cfg.connect_timeout)
                 sock.connect(("127.0.0.1", port))
                 sock.setblocking(False)

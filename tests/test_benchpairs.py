@@ -160,3 +160,22 @@ def test_a_claim_must_name_a_workload_and_metric(tmp_path):
     assert "--claim names no workload:metric" in proc.stderr
     assert not (tmp_path / "log").exists()  # nothing ran
     assert _git(repo, "worktree", "list").count("\n") == 0
+
+
+def test_the_same_commit_on_both_sides_reports_each_metrics_spread(tmp_path):
+    # an A/A run: one commit against itself shows how far each metric moves by chance
+    one_workload = {**BENCHMARK, "workloads": [{"name": "w1", "why": "stub"}]}
+    repo = _repo(tmp_path, one_workload)
+    rev = _commit(repo, 2.0)
+    proc = _run(repo, tmp_path / "log", "--parent", rev, "--change", rev, "--pr", "aa",
+                "--seeds", "1-4")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((repo / "BENCH_aa.json").read_text())
+    assert doc["commits"] == {"parent": rev, "change": rev}
+    summary = doc["summary"]["w1"]
+    # overhead_x runs 22, 24, 20, 22: quartiles 21.5 and 22.5 around 22
+    assert summary["overhead_x"]["iqr_over_median"] == {"parent": 0.0455, "change": 0.0455}
+    assert summary["overhead_x"]["median_ratio_change_over_parent"] == 1.0
+    assert summary["setup_s"]["iqr_over_median"] == {"parent": 0.0, "change": 0.0}
+    # peak_rss_mb runs 2, 1, 2, 1: quartiles 1 and 2 around 1.5
+    assert summary["peak_rss_mb"]["iqr_over_median"] == {"parent": 0.6667, "change": 0.6667}

@@ -1,5 +1,6 @@
 import gc
 import math
+import os
 import random
 import select
 import socket
@@ -693,6 +694,31 @@ class TestTcpSpecifics:
             t1.close()
         with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as probe:
             probe.bind(("127.0.0.1", base))
+
+    def test_a_closed_outbound_connection_keeps_no_listener_off_its_port(self):
+        # Node 1 connects to node 0 and closes first; node 0 answers with its
+        # own FIN, so node 1's end, on a port the OS picked, waits in
+        # TIME_WAIT. That port may be another node's: its listener still binds.
+        base = alloc_base_port(2)
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as node0:
+            node0.bind(("127.0.0.1", base))
+            node0.listen(1)
+            t1 = TcpTransport(FlConfig(no_nodes=2, node_id=1, base_port=base))
+            try:
+                t1.send(Envelope(1, 0, Phase.CLI_DATA, 0, 1.0))
+                port = t1._out[0].getsockname()[1]
+                conn, _ = node0.accept()
+            finally:
+                t1.close()
+            with conn:
+                while conn.recv(65536):  # the frame, then node 1's FIN
+                    pass
+        if os.path.exists("/proc/net/tcp"):
+            with open("/proc/net/tcp") as f:
+                states = {line.split()[3] for line in f
+                          if line.split()[1].endswith(":%04X" % port)}
+            assert "06" in states  # TIME_WAIT
+        transport.listen(3, port, 1).close()
 
     def test_unreachable_destination(self):
         base = alloc_base_port(2)
