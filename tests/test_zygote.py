@@ -5,18 +5,16 @@ import sys
 
 import pytest
 
-from fltestbed import cli, launcher
+from fltestbed import cli, launcher, zygote
 from fltestbed.errors import TransportError
-from fltestbed.harness import launch_federation
 from fltestbed.examples import example_run
+from fltestbed.harness import launch_federation
 from fltestbed.launcher import LaunchSpec, launch_all, node_argv
 
 from conftest import alloc_base_port, zygote_family
 
 pytestmark = pytest.mark.skipif(not launcher._CAN_FORK,
                                 reason="node programs are spawned on this platform")
-
-zygote = pytest.importorskip("fltestbed.zygote")
 
 FIRST = ["node", "--example", "2", "--no-nodes", "3", "--node-id", "0", "--base-port", "6000"]
 
