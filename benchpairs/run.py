@@ -15,7 +15,9 @@ checkout, the two sides back to back; which side runs first alternates
 from seed to seed. The last stdout line of a run is its result line.
 
 BENCH_<pr>.json, at the root of the repository, holds what, machine,
-commits, method, summary, verdicts and runs: per workload and end-to-end
+commits, src_lines (the line count of each side's src/**/*.py, so a change
+that shrinks the code records it beside its runs), method, summary,
+verdicts and runs: per workload and end-to-end
 metric, the median, quartiles, min, max and n of each side, each side's
 interquartile range over its median (its spread), the pairs in which the
 change is lower and the ratio of the medians; a verdict against the
@@ -34,6 +36,7 @@ result line. Standard library only.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -89,6 +92,15 @@ def run_once(command: list[str], checkout: str, workload: str, seed: int,
         result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {},
                   "exit_code": code, "stderr_tail": err[-2000:]}
     return result, provenance
+
+
+def src_lines(checkout: str) -> int:
+    """Lines of the checkout's src/**/*.py."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "**", "*.py"), recursive=True):
+        with open(path, "rb") as f:
+            total += sum(1 for _ in f)
+    return total
 
 
 def _stats(values: list[float]) -> dict:
@@ -214,6 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for side in SIDES:
             _git(root, "worktree", "add", "--detach", checkouts[side], commits[side])
+        lines = {side: src_lines(checkouts[side]) for side in SIDES}
         with open(os.path.join(checkouts["parent"], "BENCHMARK.json"), encoding="utf-8") as f:
             bench = json.load(f)
         seconds = bench["run_seconds"]
@@ -246,6 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         "what": args.what,
         "machine": machine(provenance),
         "commits": commits,
+        "src_lines": lines,
         "method": {
             "command": f"{' '.join(bench['command'])} --workload W --seed S --seconds {seconds} "
                        "(run from each checkout's root)",

@@ -11,13 +11,15 @@ check a node would make, so a bad run (a half fault pair, a node count
 without a dataset, ports out of range, a timeout that is not a positive
 finite number, --iters 0) exits 1 with one `error:` line before any node
 starts; so does a verify --report path that cannot be written. A node calls
-run.run_node; launch and verify --mode proc spawn the nodes through
+run.run_node; launch and verify --mode proc start the nodes through
 harness.launch_federation, and verify --mode inproc runs them on threads.
 Only launch, verify and fuzz import harness, so a node process loads the
 node library alone. main is prepare, which parses argv on the parser built
-at import and builds a node's run, then the command itself; the zygote
-prepares each node before it forks it, so a forked node inherits its parsed
-argv, its run and its bound listener, and imports nothing after the fork.
+at import and builds a node's run, then the command itself. The zygote
+prepares a launch once and gives each node it forks a copy with its own
+node_id and its listener (args.listener) bound, so a forked node imports
+nothing after the fork; a node prepared here has no listener (None) and
+binds its own port.
 
 Exit codes: node exits 0 on success, 1 on protocol/config errors, 2 on a
 receive timeout. verify exits 0 only when every node matched the oracle;
@@ -108,8 +110,6 @@ def _example_run(args) -> Run:
 
 
 def cmd_node(args) -> int:
-    if isinstance(args.listener, FlError):  # the zygote could not bind this node's port
-        raise args.listener
     result = args.run.run_node(args.node_id, listener=args.listener)
     print(f"RESULT {args.node_id} {dumps(result)}")
     return EXIT_OK

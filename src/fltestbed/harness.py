@@ -4,8 +4,9 @@ A run is an examples.Run, checked once when it is built; a built-in
 example's canonical run is its examples.EXAMPLES entry. verify_run, the
 one simulate-run-compare path, runs it either in-process (one thread per
 node calling run.run_node over a loopback hub) or, for a built-in
-example, as node processes spawned by launch_federation, each of which
-builds the same run from its flags. It replays the matching sequential
+example, as `fltestbed node` processes that launch_federation forks from
+the launcher's zygote, which builds the same run from their flags once per
+launch. It replays the matching sequential
 simulator on the same inputs and reports per-node agreement at the default
 tolerances; a report holds only valid payloads. launch_federation is also
 what `fltestbed launch` runs.
@@ -154,8 +155,8 @@ def verify_run(run: Run, mode: str, per_node_timeout: float = 60.0) -> RunReport
     """Execute `run` in the requested mode and verify every node against the oracle.
 
     In-process, each node is a thread calling run.run_node over a loopback
-    hub; in proc mode each is a `fltestbed node` process that builds the
-    same run from its flags. Either mode gives every node until
+    hub; in proc mode each is a `fltestbed node` process, forked with the
+    same run built from its flags. Either mode gives every node until
     per_node_timeout after the start; then every in-process receive fails,
     and only a thread stuck in a callback outlives the run. A node result
     or oracle state that is not a valid payload is reported as that node's

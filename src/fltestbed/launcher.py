@@ -1,17 +1,22 @@
 """Runs one program as a set of independent node processes.
 
-Every node gets the launch spec's fixed argument list plus its own identity flags
-(--no-nodes, --node-id, --fl-srv-id, --base-port). The node program
+Every node gets the launch spec's fixed argument list plus its own identity
+flags (--no-nodes, --node-id, --fl-srv-id, --base-port), reads /dev/null as
+its stdin and writes to two pipes of its own. One loop serves every launch:
+a selector drains all the pipes, a node's wall_time is the EOF of its last
+pipe, and its output is decoded as Popen(text=True) decodes it. Only how a
+node starts and how it is ended differ. The node program
 (`python -m fltestbed node ...`) is forked by a warm fltestbed.zygote, kept
-while the interpreter, environment and working directory stay the same:
-the launcher sends every node's request before it reads a reply, so the
-zygote prepares the whole launch, every node's listener bound, before it
-forks any node, and reports each node's CPU time and peak RSS. Any other
-program, or any program where os.fork or socket.send_fds is missing, is
-spawned afresh. The launcher waits for
-all nodes to exit, enforcing one shared deadline; survivors past the
-deadline are terminated (SIGTERM, then SIGKILL after a 2 s grace period),
-so a launch always returns within per_node_timeout plus the grace window.
+while the interpreter, environment and working directory stay the same: the
+launcher sends every node's request, with its two pipe ends, before it
+reads a reply, and the zygote prepares the launch once, binds every node's
+listener, forks them, ends them by the deadline and reports each node's
+exit code, CPU time and peak RSS. Any other program, or any program where
+os.fork or socket.send_fds is missing, is spawned afresh, and the launcher
+ends it itself. Both enforce one shared deadline: survivors past it are
+terminated (SIGTERM, then SIGKILL after a 2 s grace period), so a launch
+returns within per_node_timeout plus the grace window, unless a spawned
+node closes both its pipes and runs on, which is waited for.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import locale
 import os
 import selectors
+import signal
 import socket
 import subprocess
 import sys
@@ -89,107 +95,76 @@ def launch_all(spec: LaunchSpec) -> LaunchResult:
     """Run the whole federation; returns per-node exit status and output.
 
     Timeouts are reported in the result (overall_success False), not raised;
-    a node that cannot be spawned (say, a missing or non-executable program)
-    raises LaunchError after the nodes already started are killed. Output
-    is decoded as Popen(text=True) decodes it.
+    a node that cannot be started (say, a missing or non-executable program)
+    raises LaunchError after the nodes already started are killed. Every
+    node reads /dev/null and writes to two pipes of its own, which one
+    reader drains; a node's wall_time is when its last pipe reached EOF,
+    and its output is decoded as Popen(text=True) decodes it.
     """
     started = time.monotonic()
-    if _CAN_FORK and spec.program[:4] == (sys.executable, "-m", "fltestbed", "node"):
-        zygote = _Zygote.take()
-        try:
-            result = _launch_forked(spec, zygote, started)
-        except BaseException:
-            zygote.close()  # the zygote kills the nodes it forked
-            raise
-        _Zygote.idle.append(zygote)
-        return result
-    procs: list[subprocess.Popen] = []
-    try:
-        for node_id in range(spec.no_nodes):
-            procs.append(
-                subprocess.Popen(
-                    node_argv(spec, node_id),
-                    stdout=subprocess.PIPE,
-                    stderr=subprocess.PIPE,
-                    text=True,
-                )
-            )
-    except OSError as e:
-        for p in procs:
-            p.kill()
-        for p in procs:
-            p.wait()
-        raise LaunchError(f"failed to spawn node {len(procs)}: {e}") from e
-
-    deadline = started + spec.per_node_timeout
-    outputs: list[tuple[str, str] | None] = [None] * spec.no_nodes
-    ended = [0.0] * spec.no_nodes
-    for node_id, proc in enumerate(procs):
-        try:
-            outputs[node_id] = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            # communicate() raises on an expired deadline even when the
-            # process already exited; only a still-running node is hung
-            if proc.poll() is None:
-                continue
-            outputs[node_id] = proc.communicate()
-        ended[node_id] = time.monotonic() - started
-
-    hung = [node_id for node_id, output in enumerate(outputs) if output is None]
-    for node_id in hung:
-        procs[node_id].terminate()
-    grace = time.monotonic() + TERMINATION_GRACE
-    for node_id in hung:
-        try:
-            procs[node_id].wait(timeout=max(0.0, grace - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            procs[node_id].kill()
-    for node_id in hung:
-        outputs[node_id] = procs[node_id].communicate()
-        ended[node_id] = time.monotonic() - started
-
-    per_node = [
-        NodeOutcome(node_id, proc.returncode, *outputs[node_id], wall_time=ended[node_id],
-                    timed_out=node_id in hung, pid=proc.pid)
-        for node_id, proc in enumerate(procs)
-    ]
-    overall = not hung and all(o.exit_code == 0 for o in per_node)
-    return LaunchResult(per_node=per_node, overall_success=overall)
-
-
-def _launch_forked(spec: LaunchSpec, zygote: _Zygote, started: float) -> LaunchResult:
+    forked = _CAN_FORK and spec.program[:4] == (sys.executable, "-m", "fltestbed", "node")
+    zygote = _Zygote.take() if forked else None
     output = [(bytearray(), bytearray()) for _ in range(spec.no_nodes)]
     ended = [0.0] * spec.no_nodes
+    procs: list[subprocess.Popen] = []  # spawned nodes only
     sel = selectors.DefaultSelector()
     try:
         for node_id, (out, err) in enumerate(output):
-            (r0, w0), (r1, w1), (r2, w2) = os.pipe(), os.pipe(), os.pipe()
+            (r1, w1), (r2, w2) = os.pipe(), os.pipe()
             sel.register(r1, selectors.EVENT_READ, (node_id, out))
             sel.register(r2, selectors.EVENT_READ, (node_id, err))
-            line = b"run %s\n" % json.dumps(node_argv(spec, node_id)[3:]).encode("ascii")
-            try:  # the node's stdin reads EOF at once
-                socket.send_fds(zygote.sock, [line], [r0, w1, w2])
+            argv = node_argv(spec, node_id)
+            try:
+                if zygote:
+                    line = b"run %s\n" % json.dumps(argv[3:]).encode("ascii")
+                    socket.send_fds(zygote.sock, [line], [w1, w2])
+                else:
+                    procs.append(subprocess.Popen(argv, stdin=subprocess.DEVNULL, stdout=w1,
+                                                  stderr=w2))
             except OSError as e:
                 raise LaunchError(f"failed to spawn node {node_id}: {e}") from e
             finally:
-                for fd in (r0, w0, w1, w2):
-                    os.close(fd)
-        left = spec.per_node_timeout - (time.monotonic() - started)
-        zygote.sock.sendall(b"wait %r %r\n" % (max(0.0, left), TERMINATION_GRACE))
-        pids = zygote.reply()
-        while sel.get_map():  # the zygote ends every node by the deadline plus the grace period
-            for key, _ in sel.select():
+                os.close(w1)
+                os.close(w2)
+        deadline = started + spec.per_node_timeout
+        # a spawned node's end: SIGTERM at the deadline, SIGKILL after the grace period
+        steps, hung = [signal.SIGTERM, signal.SIGKILL], []
+        if zygote:  # it ends every node by the deadline plus the grace period
+            left = max(0.0, deadline - time.monotonic())
+            zygote.sock.sendall(b"wait %r %r\n" % (left, TERMINATION_GRACE))
+            steps = []
+        pids = zygote.reply() if zygote else [p.pid for p in procs]
+        while sel.get_map():
+            for key, _ in sel.select(max(0.0, deadline - time.monotonic()) if steps else None):
                 if chunk := os.read(key.fd, 65536):
                     key.data[1].extend(chunk)
                 else:
                     sel.unregister(key.fd)
                     os.close(key.fd)
                     ended[key.data[0]] = time.monotonic() - started
-        codes, hung, usage = zygote.reply()
+            if steps and time.monotonic() >= deadline:
+                sig, deadline = steps.pop(0), time.monotonic() + TERMINATION_GRACE
+                running = [node_id for node_id, p in enumerate(procs) if p.poll() is None]
+                for node_id in running:
+                    procs[node_id].send_signal(sig)
+                hung = running if sig == signal.SIGTERM else hung
+        if zygote:
+            codes, hung, usage = zygote.reply()
+        else:
+            codes, usage = [p.wait() for p in procs], [(None, None)] * spec.no_nodes
+    except BaseException:
+        if zygote:
+            zygote.close()  # the zygote kills the nodes it forked
+        for p in procs:
+            p.kill()
+            p.wait()
+        raise
     finally:
         for key in list(sel.get_map().values()):
             os.close(key.fd)
         sel.close()
+    if zygote:
+        _Zygote.idle.append(zygote)
     per_node = [NodeOutcome(node_id, codes[node_id], _text(out), _text(err), ended[node_id],
                             node_id in hung, pids[node_id], *usage[node_id])
                 for node_id, (out, err) in enumerate(output)]

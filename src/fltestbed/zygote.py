@@ -3,23 +3,28 @@
 `python -m fltestbed.zygote LAUNCHER_PID CTRL_FD` imports the node library
 once, cli's parser built with it, runs a node's TCP code a few times
 (_warm_up) so that a forked node inherits it quickened, then serves the Unix
-socket CTRL_FD. A launch is every node's `run <json argv>`, each sent with the
-node's three fds, then `wait <seconds> <grace>`. On `run` the zygote only
-prepares the node (_prepare), binding its listener, so every port of a
-launch is bound before any node of it runs. On `wait` it forks every
-prepared node back to back and replies with their pids; a child runs its
-command (_run) and leaves by os._exit, so it imports, parses and frees
-nothing of the launch. No node of a launch is alive while the zygote
+socket CTRL_FD, one launch at a time. A launch is every node's
+`run <json argv>` in node order, each sent with the node's stdout and stderr
+fds, then `wait <seconds> <grace>`. The argvs of a launch differ only in
+--node-id, so the zygote prepares the first one with cli.prepare, once, and
+gives each node a copy of it with its own node_id and its listener bound as
+its `run` arrives: every port of a launch is bound before any node of it
+runs. A node gets no copy (None) if its port cannot be bound or the first
+prepare raised or exited; it runs all of cli.main after the fork, as a
+spawned node does. On `wait` the zygote forks every node back to back and
+replies with their pids; a child runs its command (_run) and leaves by
+os._exit, so it parses and frees nothing of the launch, and its stdin is the
+zygote's own /dev/null. No node of a launch is alive while the zygote
 prepares it, so neither side copies a page for the other's writes; after
 the last fork the zygote closes every listener, which would accept for a
-crashed node. At the deadline the children still running get SIGTERM, then
-SIGKILL after the grace period; once all are reaped the second reply is
-[exit codes as Popen.returncode gives them, timed-out indices, [CPU seconds,
-peak RSS in MB] per node from os.wait4].
+crashed node. It then reaps the launch: at the deadline the children still
+running get SIGTERM, then SIGKILL after the grace period; once all are
+reaped the second reply is [exit codes as Popen.returncode gives them,
+timed-out indices, [CPU seconds, peak RSS in MB] per node from os.wait4].
 No other thread runs here, so a fork copies none, and only this process
-reaps or signals the children, so no signal reaches a reused pid. At EOF it
-kills and reaps its children and leaves by os._exit, skipping its atexit
-handlers, which the children run.
+reaps or signals the children, so no signal reaches a reused pid. At EOF,
+also while it reaps, it kills and reaps its children and leaves by
+os._exit, skipping its atexit handlers, which the children run.
 """
 
 import _signal
@@ -45,39 +50,29 @@ _ARGV0 = os.path.join(os.path.dirname(cli.__file__), "__main__.py")  # every nod
 _WARM_RUNS = 6  # 12 transports: CPython 3.11 quickens a function after 8 calls
 
 
-def _node_id_only(argv: list[str], first: list[str]) -> int | None:
-    """argv's node id if its last --node-id value is all it changes from `first`, else None."""
-    diff = [k for k, (a, b) in enumerate(zip(argv, first)) if a != b]
-    if (len(argv) != len(first) or len(diff) != 1 or first[diff[0] - 1] != "--node-id"
-            or any(a.startswith("--node") for a in first[diff[0] + 1:])
-            or not argv[diff[0]].removeprefix("-").isdecimal()):
+def _prepare(argv: list[str]) -> argparse.Namespace | None:
+    """cli.prepare(argv) with its output discarded; None if it raised or exited."""
+    saved = sys.stdout, sys.stderr
+    sys.stdout = sys.stderr = io.StringIO()  # text left buffered here would reach every fork
+    try:
+        return cli.prepare(argv)
+    except (Exception, SystemExit):
         return None
-    return int(argv[diff[0]])
+    finally:
+        sys.stdout, sys.stderr = saved
 
 
-def _prepare(argv: list[str], first: tuple | None) -> argparse.Namespace | None:
-    """cli.prepare(argv) with its output discarded (None if it raised or exited), or a copy of
-    `first`'s (its argv, prepared) if argv changes only its --node-id; with a node's listener
-    bound, or the error binding raised, for the node to raise."""
-    node_id = None if first is None or first[1] is None else _node_id_only(argv, first[0])
-    if node_id is not None:
-        prepared = argparse.Namespace(**{**vars(first[1]), "node_id": node_id})
-    else:
-        saved = sys.stdout, sys.stderr
-        sys.stdout = sys.stderr = io.StringIO()  # text left buffered here would reach every fork
-        try:
-            prepared = cli.prepare(argv)
-        except (Exception, SystemExit):
-            return None
-        finally:
-            sys.stdout, sys.stderr = saved
-    if prepared.func is cli.cmd_node:
-        try:
-            cfg = prepared.run.config(prepared.node_id)
-            prepared.listener = listen(cfg.node_id, cfg.base_port + cfg.node_id, cfg.no_nodes)
-        except FlError as e:
-            prepared.listener = e
-    return prepared
+def _for_node(first: argparse.Namespace | None, node_id: int) -> argparse.Namespace | None:
+    """A copy of the launch's prepared `first` for node `node_id`, with the node's listener
+    bound; None if there is no `first` or the port cannot be bound."""
+    if first is None:
+        return None
+    cfg = first.run.config(node_id)
+    try:
+        listener = listen(node_id, cfg.base_port + node_id, cfg.no_nodes)
+    except FlError:
+        return None
+    return argparse.Namespace(**{**vars(first), "node_id": node_id, "listener": listener})
 
 
 def _warm_up() -> None:
@@ -98,13 +93,13 @@ def _warm_up() -> None:
 
 
 def _run(argv: list[str], prepared: argparse.Namespace | None, own: list, shared: list):
-    """A forked node: keep only its `own` fds of `shared`, the first three as 0-2, and run."""
+    """A forked node: keep only its `own` fds of `shared`, the first two as 1 and 2, and run."""
     signal.set_wakeup_fd(-1)
     _signal.signal(_signal.SIGCHLD, _signal.SIG_DFL)  # signal.signal's enum conversions write
     for fd in shared:
         if fd not in own:  # a sibling's pipe end held here would delay its EOF
             os.close(fd)
-    for target, fd in enumerate(own[:3]):
+    for target, fd in enumerate(own[:2], 1):
         os.dup2(fd, target)
         os.close(fd)
     sys.argv = [_ARGV0, *argv]
@@ -116,71 +111,84 @@ def _run(argv: list[str], prepared: argparse.Namespace | None, own: list, shared
     os._exit(code)
 
 
+def _requests(ctrl: socket.socket):
+    """The launcher's requests as (command, argument, the fds sent with a `run`), until EOF."""
+    buf, fds = b"", []
+    while True:
+        data, got, _, _ = socket.recv_fds(ctrl, 65536, 2)
+        if not data:
+            return
+        fds += got  # a run line's fds come with its bytes, so they queue in line order
+        *lines, buf = (buf + data).split(b"\n")
+        for line in lines:
+            cmd, _, arg = line.partition(b" ")
+            own, fds = (fds[:2], fds[2:]) if cmd == b"run" else ([], fds)
+            yield cmd, arg, own
+
+
+def _launch(requests) -> tuple[list, float, float] | None:
+    """The next launch of `requests`, read up to its `wait`: (argv, prepared, its 2 fds and its
+    listener's) per node in node order, the seconds to its deadline and the grace period; None at
+    EOF. Each node is prepared as its `run` arrives, from one cli.prepare per launch."""
+    batch = []
+    for cmd, arg, own in requests:
+        if cmd != b"run":
+            seconds, grace = map(float, arg.split())
+            return batch, seconds, grace
+        argv = json.loads(arg)
+        if not batch:
+            first = _prepare(argv)
+        if prepared := _for_node(first, len(batch)):
+            own.append(prepared.listener.fileno())
+        batch.append((argv, prepared, own))
+    return None
+
+
 def _serve(ctrl: socket.socket) -> None:
     """Serve launches until EOF, then leave by os._exit; a forked node leaves by _run."""
     wake_r, wake_w = os.pipe()
     os.set_blocking(wake_w, False)
     signal.set_wakeup_fd(wake_w)
     signal.signal(signal.SIGCHLD, lambda *_: None)
-    live: dict[int, int] = {}  # pid -> index in this launch, until reaped
-    # (argv, prepared, its 3 fds and its listener's) per node of this launch;
-    # kept until its nodes are reaped, so freeing it copies no page a node shares
-    batch, listeners = [], []
-    codes, hung, usage, buf, fds, pid = [], [], [], b"", [], None
-    waiting, deadline, grace, sig = False, 0.0, 0.0, None  # sig: the next one the deadline sends
+    requests = _requests(ctrl)
+    live: dict[int, int] = {}  # pid -> node of this launch, until reaped
+    pid = None
     try:
-        while True:
-            timeout = max(0.0, deadline - time.monotonic()) if sig else None
-            ready = select.select([ctrl, wake_r], [], [], timeout)[0]
-            if wake_r in ready:
-                os.read(wake_r, 4096)
-                while live and (reaped := os.wait4(-1, os.WNOHANG))[0]:
-                    node, ru = live.pop(reaped[0]), reaped[2]
-                    codes[node] = os.waitstatus_to_exitcode(reaped[1])
-                    usage[node] = [ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024]
-            if ctrl in ready:
-                data, got, _, _ = socket.recv_fds(ctrl, 65536, 3)
-                if not data:
-                    return  # leaves through finally
-                fds += got  # a run line's fds come with its bytes, so they queue in line order
-                *lines, buf = (buf + data).split(b"\n")
-                for line in lines:
-                    cmd, _, arg = line.partition(b" ")
-                    if cmd == b"run":
-                        argv = json.loads(arg)
-                        prepared = _prepare(argv, batch[0][:2] if batch else None)
-                        own, fds = fds[:3], fds[3:]
-                        if isinstance(listener := getattr(prepared, "listener", None), socket.socket):
-                            listeners.append(listener)
-                            own.append(listener.fileno())
-                        batch.append((argv, prepared, own))
-                        continue
-                    seconds, grace = map(float, arg.split())
-                    shared = [ctrl.fileno(), wake_r, wake_w, *(fd for *_, own in batch for fd in own)]
-                    for argv, prepared, own in batch:
-                        pid = os.fork()
-                        if pid == 0:
-                            _run(argv, prepared, own, shared)
-                        live[pid] = len(codes)
-                        codes.append(None)
-                        usage.append(None)
-                    for *_, own in batch:
-                        for fd in own[:3]:
-                            os.close(fd)
-                    for listener in listeners:  # left open, it would accept for a crashed node
-                        listener.close()
-                    ctrl.sendall(json.dumps(list(live)).encode("ascii") + b"\n")  # in fork order
-                    waiting, deadline, sig = True, time.monotonic() + seconds, signal.SIGTERM
-            if waiting and not live:
-                ctrl.sendall(json.dumps([codes, hung, usage]).encode("ascii") + b"\n")
-                codes, hung, usage, batch, listeners, waiting, sig = [], [], [], [], [], False, None
-            elif sig and time.monotonic() >= deadline:
+        # a launch's batch is kept until its nodes are reaped, so freeing it copies no page a
+        # node shares
+        while launch := _launch(requests):
+            batch, seconds, grace = launch
+            shared = [ctrl.fileno(), wake_r, wake_w, *(fd for *_, own in batch for fd in own)]
+            for node, (argv, prepared, own) in enumerate(batch):
+                pid = os.fork()
+                if pid == 0:
+                    _run(argv, prepared, own, shared)
+                live[pid] = node
+            for _, prepared, own in batch:
+                os.close(own[0])
+                os.close(own[1])
+                if prepared:  # left open, it would accept for a crashed node
+                    prepared.listener.close()
+            ctrl.sendall(json.dumps(list(live)).encode("ascii") + b"\n")  # in fork order
+            codes, hung, usage = [None] * len(batch), [], [None] * len(batch)
+            for sig, after in ((signal.SIGTERM, seconds), (signal.SIGKILL, grace), (None, None)):
+                end = None if after is None else time.monotonic() + after
+                while live and (end is None or time.monotonic() < end):
+                    timeout = None if end is None else max(0.0, end - time.monotonic())
+                    ready = select.select([ctrl, wake_r], [], [], timeout)[0]
+                    if ctrl in ready:
+                        return  # the launcher sends nothing before the reply but its EOF
+                    if wake_r in ready:
+                        os.read(wake_r, 4096)
+                        while live and (reaped := os.wait4(-1, os.WNOHANG))[0]:
+                            node, ru = live.pop(reaped[0]), reaped[2]
+                            codes[node] = os.waitstatus_to_exitcode(reaped[1])
+                            usage[node] = [ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024]
+                if sig == signal.SIGTERM:
+                    hung = sorted(live.values())
                 for target in live:
                     os.kill(target, sig)
-                if sig == signal.SIGTERM:  # SIGKILL follows after the grace period
-                    hung, deadline, sig = sorted(live.values()), time.monotonic() + grace, signal.SIGKILL
-                else:
-                    sig = None
+            ctrl.sendall(json.dumps([codes, hung, usage]).encode("ascii") + b"\n")
     finally:
         if pid != 0:  # the zygote, at EOF or on an error
             for target in live:

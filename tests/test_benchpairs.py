@@ -78,7 +78,8 @@ def test_pair_runner_writes_the_bench_schema(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((repo / "BENCH_99.json").read_text())
 
-    assert list(doc) == ["what", "machine", "commits", "method", "summary", "verdicts", "runs"]
+    assert list(doc) == ["what", "machine", "commits", "src_lines", "method", "summary",
+                         "verdicts", "runs"]
     assert doc["what"] == "halves SCALE"
     assert doc["commits"] == {"parent": parent, "change": change}
     assert doc["machine"]["cpu_model"] == "stub cpu" and doc["machine"]["vcpus"] == 2
@@ -179,3 +180,20 @@ def test_the_same_commit_on_both_sides_reports_each_metrics_spread(tmp_path):
     assert summary["setup_s"]["iqr_over_median"] == {"parent": 0.0, "change": 0.0}
     # peak_rss_mb runs 2, 1, 2, 1: quartiles 1 and 2 around 1.5
     assert summary["peak_rss_mb"]["iqr_over_median"] == {"parent": 0.6667, "change": 0.6667}
+
+
+def test_each_sides_src_line_count_is_recorded(tmp_path):
+    repo = _repo(tmp_path, {**BENCHMARK, "workloads": [{"name": "w1", "why": "stub"}]})
+    (repo / "src" / "pkg").mkdir(parents=True)
+    (repo / "src" / "pkg" / "a.py").write_text("a = 1\nb = 2\nc = 3\n")
+    (repo / "src" / "notes.txt").write_text("not python\n")
+    parent = _commit(repo, 2.0)
+    (repo / "src" / "pkg" / "a.py").write_text("a = 1\n")
+    (repo / "src" / "pkg" / "sub").mkdir()
+    (repo / "src" / "pkg" / "sub" / "b.py").write_text("b = 2\nc = 3\nd = 4\ne = 5")
+    change = _commit(repo, 1.0)
+    proc = _run(repo, tmp_path / "log", "--parent", parent, "--change", change, "--pr", "1",
+                "--seeds", "1-2")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((repo / "BENCH_1.json").read_text())
+    assert doc["src_lines"] == {"parent": 3, "change": 5}

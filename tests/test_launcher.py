@@ -34,6 +34,11 @@ ONLY_NODE_1_HANGS = (
     "import sys, time; i = int(sys.argv[sys.argv.index('--node-id') + 1]);"
     " time.sleep(60 if i == 1 else 0); print('done', i)",
 )
+ONLY_NODE_0_HANGS = (
+    sys.executable,
+    "-c",
+    "import sys, time; time.sleep(60 if sys.argv[sys.argv.index('--node-id') + 1] == '0' else 0)",
+)
 
 
 class TestSpecValidation:
@@ -139,6 +144,15 @@ class TestTimeouts:
         assert result.outcome(2).exit_code == 0
         assert "done 0" in result.outcome(0).stdout
         assert result.outcome(1).exit_code != 0
+
+    def test_a_spawned_node_is_timed_to_its_own_end(self):
+        # nodes 1 and 2 exit at once, while node 0 runs into the deadline
+        spec = LaunchSpec(program=ONLY_NODE_0_HANGS, no_nodes=3, fl_srv_id=0, base_port=7000,
+                          per_node_timeout=1.5)
+        result = launch_all(spec)
+        assert [o.timed_out for o in result.per_node] == [True, False, False]
+        assert result.outcome(0).wall_time >= 1.5
+        assert result.outcome(1).wall_time < 0.5 and result.outcome(2).wall_time < 0.5
 
     def test_hung_forked_node_is_terminated_within_grace(self):
         # node 1 crashes after phase I; its peers would wait 30 s for its
@@ -313,6 +327,23 @@ class TestForkedNodes:
         while zygote_family(killed.pid):
             assert time.monotonic() < deadline, zygote_family(killed.pid)
             time.sleep(0.05)
+
+
+def test_every_node_reads_dev_null_not_the_launchers_stdin():
+    # the launcher's stdin is a pipe that holds data and stays open
+    driver = (
+        "import sys\n"
+        "from fltestbed.launcher import LaunchSpec, launch_all\n"
+        "read = (sys.executable, '-c', 'import sys; print(repr(sys.stdin.read()))')\n"
+        "result = launch_all(LaunchSpec(read, no_nodes=2, fl_srv_id=0, base_port=7000,\n"
+        "                               per_node_timeout=3.0))\n"
+        "print([(o.stdout, o.timed_out) for o in result.per_node])\n")
+    with subprocess.Popen([sys.executable, "-c", driver], stdin=subprocess.PIPE,
+                          stdout=subprocess.PIPE, text=True) as proc:
+        proc.stdin.write("typed\n")
+        proc.stdin.flush()
+        out = proc.stdout.read()
+    assert out == "[(\"''\\n\", False), (\"''\\n\", False)]\n"
 
 
 def test_output_is_decoded_as_popen_text_mode_decodes_it():

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from fltestbed import cli, launcher, zygote
-from fltestbed.errors import TransportError
 from fltestbed.examples import example_run
 from fltestbed.harness import launch_federation
 from fltestbed.launcher import LaunchSpec, launch_all, node_argv
@@ -16,62 +15,51 @@ from conftest import alloc_base_port, zygote_family
 pytestmark = pytest.mark.skipif(not launcher._CAN_FORK,
                                 reason="node programs are spawned on this platform")
 
-FIRST = ["node", "--example", "2", "--no-nodes", "3", "--node-id", "0", "--base-port", "6000"]
+def _requests(spec: LaunchSpec):
+    """What the launcher sends the zygote for `spec`, with stand-ins for each node's two fds."""
+    for node_id in range(spec.no_nodes):
+        yield b"run", json.dumps(node_argv(spec, node_id)[3:]).encode("ascii"), [-1, -2]
+    yield b"wait", b"30.0 2.0", []
 
 
-@pytest.mark.parametrize("argv, node_id", [
-    (["node", "--example", "2", "--no-nodes", "3", "--node-id", "2", "--base-port", "6000"], 2),
-    (["node", "--example", "2", "--no-nodes", "3", "--node-id", "-1", "--base-port", "6000"], -1),
-    (["node", "--example", "2", "--no-nodes", "3", "--node-id", "07", "--base-port", "6000"], 7),
-    # anything else is prepared on its own
-    (FIRST, None),
-    (["node", "--example", "3", "--no-nodes", "3", "--node-id", "1", "--base-port", "6000"], None),
-    (["node", "--example", "2", "--no-nodes", "3", "--node-id", "1", "--base-port", "6001"], None),
-    (["node", "--example", "2", "--no-nodes", "3", "--node-id", "x", "--base-port", "6000"], None),
-    (["node", "--example", "2", "--no-nodes", "3", "--node-id", "1.0", "--base-port", "6000"], None),
-    (["node", "--example", "2", "--no-nodes", "3", "--node-id", "1"], None),
-])
-def test_only_a_changed_node_id_value_reuses_the_first_prepare(argv, node_id):
-    assert zygote._node_id_only(argv, FIRST) == node_id
-
-
-def test_a_later_node_id_flag_is_not_reused():
-    # argparse takes the last value: a flag after the changed one would win
-    first = FIRST + ["--node-id", "0"]
-    argv = ["node", "--example", "2", "--no-nodes", "3", "--node-id", "1", "--base-port", "6000",
-            "--node-id", "0"]
-    assert zygote._node_id_only(argv, first) is None
-    assert zygote._node_id_only(FIRST + ["--node-id", "1"], first) == 1
-    # nor an abbreviated flag
-    assert zygote._node_id_only(FIRST + ["--node", "1"], FIRST + ["--node", "0"]) is None
-
-
-def test_a_reused_prepare_is_what_prepare_gives_with_its_own_listener():
+def test_a_reused_prepare_is_what_prepare_gives_with_its_own_listener(monkeypatch):
     spec = LaunchSpec((sys.executable, "-m", "fltestbed", "node", "--example", "3", "--seed", "4"),
                       no_nodes=3, fl_srv_id=0, base_port=alloc_base_port(3))
-    argvs = [node_argv(spec, i)[3:] for i in range(3)]
-    first = zygote._prepare(argvs[0], None)
-    prepared = [first] + [zygote._prepare(argv, (argvs[0], first)) for argv in argvs[1:]]
+    calls = []
+    prepare = cli.prepare
+    monkeypatch.setattr(cli, "prepare", lambda argv: calls.append(argv) or prepare(argv))
+    batch, seconds, grace = zygote._launch(_requests(spec))
+    monkeypatch.undo()
     try:
-        for node_id, (argv, p) in enumerate(zip(argvs, prepared)):
-            fresh = cli.prepare(argv)
-            assert {**vars(p), "listener": None} == vars(fresh)
-            assert p.run is first.run  # built once for the launch
+        assert calls == [node_argv(spec, 0)[3:]]  # once per launch
+        assert (seconds, grace) == (30.0, 2.0)
+        for node_id, (argv, p, own) in enumerate(batch):
+            assert argv == node_argv(spec, node_id)[3:]
+            assert {**vars(p), "listener": None} == vars(cli.prepare(argv))
+            assert p.run is batch[0][1].run  # built once for the launch
             assert p.listener.getsockname() == ("127.0.0.1", spec.base_port + node_id)
+            assert own == [-1, -2, p.listener.fileno()]
     finally:
-        for p in prepared:
+        for _, p, _ in batch:
             p.listener.close()
 
 
-def test_a_port_that_cannot_be_bound_is_kept_for_the_node_to_raise():
-    base = alloc_base_port(3)
-    argv = node_argv(LaunchSpec((sys.executable, "-m", "fltestbed", "node", "--example", "2"),
-                                no_nodes=3, fl_srv_id=0, base_port=base), 1)[3:]
+def test_a_held_port_leaves_only_its_own_node_unprepared():
+    spec = LaunchSpec((sys.executable, "-m", "fltestbed", "node", "--example", "2"),
+                      no_nodes=3, fl_srv_id=0, base_port=alloc_base_port(3))
     with socket.socket() as held:
-        held.bind(("127.0.0.1", base + 1))
-        prepared = zygote._prepare(argv, None)
-    assert isinstance(prepared.listener, TransportError)
-    assert str(prepared.listener).startswith(f"node 1 cannot bind port {base + 1}: ")
+        held.bind(("127.0.0.1", spec.base_port + 1))
+        batch, _, _ = zygote._launch(_requests(spec))
+    try:
+        assert batch[1][1:] == (None, [-1, -2])  # it runs all of cli.main after the fork
+        for node_id in (0, 2):
+            listener = batch[node_id][1].listener
+            assert listener.getsockname() == ("127.0.0.1", spec.base_port + node_id)
+            with socket.create_connection(listener.getsockname(), timeout=5):
+                pass  # listening
+    finally:
+        for node_id in (0, 2):
+            batch[node_id][1].listener.close()
 
 
 # A sitecustomize for the zygote: after each fork, the child records the
