@@ -4,7 +4,7 @@ Every node gets the launch spec's fixed argument list plus its own identity
 flags (--no-nodes, --node-id, --fl-srv-id, --base-port), reads /dev/null as
 its stdin and writes to two pipes of its own. One loop serves every launch:
 a selector drains all the pipes, a node's wall_time is the EOF of its last
-pipe, and its output is decoded as Popen(text=True) decodes it. Only how a
+pipe, and its output is decoded as Popen's text mode decodes it. Only how a
 node starts and how it is ended differ. The node program
 (`python -m fltestbed node ...`) is forked by a warm fltestbed.zygote, kept
 while the interpreter, environment and working directory stay the same: the
@@ -99,7 +99,7 @@ def launch_all(spec: LaunchSpec) -> LaunchResult:
     raises LaunchError after the nodes already started are killed. Every
     node reads /dev/null and writes to two pipes of its own, which one
     reader drains; a node's wall_time is when its last pipe reached EOF,
-    and its output is decoded as Popen(text=True) decodes it.
+    and its output is decoded as Popen's text mode decodes it.
     """
     started = time.monotonic()
     forked = _CAN_FORK and spec.program[:4] == (sys.executable, "-m", "fltestbed", "node")
@@ -173,7 +173,7 @@ def launch_all(spec: LaunchSpec) -> LaunchResult:
 
 
 def _text(data: bytes) -> str:
-    """Locale encoding and universal newlines, as in Popen(text=True)."""
+    """Locale encoding and universal newlines, as in Popen's text mode."""
     return data.decode(locale.getpreferredencoding(False)).replace("\r\n", "\n").replace("\r", "\n")
 
 

@@ -41,7 +41,7 @@ import sys
 import time
 
 from . import cli
-from .errors import FlError, TransportError
+from .errors import TransportError
 from .examples import example_run
 from .transport import Phase, TcpTransport, listen
 from .values import dumps
@@ -70,7 +70,7 @@ def _for_node(first: argparse.Namespace | None, node_id: int) -> argparse.Namesp
     cfg = first.run.config(node_id)
     try:
         listener = listen(node_id, cfg.base_port + node_id, cfg.no_nodes)
-    except FlError:
+    except TransportError:
         return None
     return argparse.Namespace(**{**vars(first), "node_id": node_id, "listener": listener})
 
