@@ -331,14 +331,14 @@ class TestForkedNodes:
 
 def test_every_node_reads_dev_null_not_the_launchers_stdin():
     # the launcher's stdin is a pipe that holds data and stays open
-    driver = (
+    program = (
         "import sys\n"
         "from fltestbed.launcher import LaunchSpec, launch_all\n"
         "read = (sys.executable, '-c', 'import sys; print(repr(sys.stdin.read()))')\n"
         "result = launch_all(LaunchSpec(read, no_nodes=2, fl_srv_id=0, base_port=7000,\n"
         "                               per_node_timeout=3.0))\n"
         "print([(o.stdout, o.timed_out) for o in result.per_node])\n")
-    with subprocess.Popen([sys.executable, "-c", driver], stdin=subprocess.PIPE,
+    with subprocess.Popen([sys.executable, "-c", program], stdin=subprocess.PIPE,
                           stdout=subprocess.PIPE, text=True) as proc:
         proc.stdin.write("typed\n")
         proc.stdin.flush()
