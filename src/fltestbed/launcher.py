@@ -15,8 +15,7 @@ exit code, CPU time and peak RSS. Any other program, or any program where
 os.fork or socket.send_fds is missing, is spawned afresh, and the launcher
 ends it itself. Both enforce one shared deadline: survivors past it are
 terminated (SIGTERM, then SIGKILL after a 2 s grace period), so a launch
-returns within per_node_timeout plus the grace window, unless a spawned
-node closes both its pipes and runs on, which is waited for.
+always returns within per_node_timeout plus the grace window.
 """
 
 from __future__ import annotations
@@ -128,14 +127,17 @@ def launch_all(spec: LaunchSpec) -> LaunchResult:
                 os.close(w2)
         deadline = started + spec.per_node_timeout
         # a spawned node's end: SIGTERM at the deadline, SIGKILL after the grace period
-        steps, hung = [signal.SIGTERM, signal.SIGKILL], []
+        steps, hung, poll = [signal.SIGTERM, signal.SIGKILL], [], 0.0005
         if zygote:  # it ends every node by the deadline plus the grace period
             left = max(0.0, deadline - time.monotonic())
             zygote.sock.sendall(b"wait %r %r\n" % (left, TERMINATION_GRACE))
             steps = []
         pids = zygote.reply() if zygote else [p.pid for p in procs]
-        while sel.get_map():
-            for key, _ in sel.select(max(0.0, deadline - time.monotonic()) if steps else None):
+        while sel.get_map() or (steps and any(p.poll() is None for p in procs)):
+            timeout = max(0.0, deadline - time.monotonic()) if steps else None
+            if not sel.get_map():  # a spawned node closed its pipes and runs on: poll its exit
+                timeout, poll = min(timeout, poll), min(2 * poll, 0.05)
+            for key, _ in sel.select(timeout):
                 if chunk := os.read(key.fd, 65536):
                     key.data[1].extend(chunk)
                 else:

@@ -144,6 +144,24 @@ def _launch(requests) -> tuple[list, float, float] | None:
     return None
 
 
+def _reap(live: dict, codes: list, usage: list, ctrl: socket.socket, wake_r: int,
+          end: float | None = None) -> bool:
+    """Reap the children of `live` (pid -> node) into `codes` and `usage` until none is left
+    or `end` passes; True as soon as `ctrl` is readable, which before the reply is its EOF."""
+    while live and (end is None or time.monotonic() < end):
+        timeout = None if end is None else max(0.0, end - time.monotonic())
+        ready = select.select([ctrl, wake_r], [], [], timeout)[0]
+        if ctrl in ready:
+            return True
+        if wake_r in ready:
+            os.read(wake_r, 4096)
+            while live and (reaped := os.wait4(-1, os.WNOHANG))[0]:
+                node, ru = live.pop(reaped[0]), reaped[2]
+                codes[node] = os.waitstatus_to_exitcode(reaped[1])
+                usage[node] = [ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024]
+    return False
+
+
 def _serve(ctrl: socket.socket) -> None:
     """Serve launches until EOF, then leave by os._exit; a forked node leaves by _run."""
     wake_r, wake_w = os.pipe()
@@ -171,23 +189,15 @@ def _serve(ctrl: socket.socket) -> None:
                     prepared.listener.close()
             ctrl.sendall(json.dumps(list(live)).encode("ascii") + b"\n")  # in fork order
             codes, hung, usage = [None] * len(batch), [], [None] * len(batch)
-            for sig, after in ((signal.SIGTERM, seconds), (signal.SIGKILL, grace), (None, None)):
-                end = None if after is None else time.monotonic() + after
-                while live and (end is None or time.monotonic() < end):
-                    timeout = None if end is None else max(0.0, end - time.monotonic())
-                    ready = select.select([ctrl, wake_r], [], [], timeout)[0]
-                    if ctrl in ready:
-                        return  # the launcher sends nothing before the reply but its EOF
-                    if wake_r in ready:
-                        os.read(wake_r, 4096)
-                        while live and (reaped := os.wait4(-1, os.WNOHANG))[0]:
-                            node, ru = live.pop(reaped[0]), reaped[2]
-                            codes[node] = os.waitstatus_to_exitcode(reaped[1])
-                            usage[node] = [ru.ru_utime + ru.ru_stime, ru.ru_maxrss / 1024]
+            for sig, after in ((signal.SIGTERM, seconds), (signal.SIGKILL, grace)):
+                if _reap(live, codes, usage, ctrl, wake_r, time.monotonic() + after):
+                    return
                 if sig == signal.SIGTERM:
                     hung = sorted(live.values())
                 for target in live:
                     os.kill(target, sig)
+            if _reap(live, codes, usage, ctrl, wake_r):  # the SIGKILLed ones
+                return
             ctrl.sendall(json.dumps([codes, hung, usage]).encode("ascii") + b"\n")
     finally:
         if pid != 0:  # the zygote, at EOF or on an error

@@ -39,6 +39,11 @@ ONLY_NODE_0_HANGS = (
     "-c",
     "import sys, time; time.sleep(60 if sys.argv[sys.argv.index('--node-id') + 1] == '0' else 0)",
 )
+CLOSES_ITS_PIPES_AND_SLEEPS = (
+    sys.executable,
+    "-c",
+    "import os, time; os.close(1); os.close(2); time.sleep(60)",
+)
 
 
 class TestSpecValidation:
@@ -153,6 +158,17 @@ class TestTimeouts:
         assert [o.timed_out for o in result.per_node] == [True, False, False]
         assert result.outcome(0).wall_time >= 1.5
         assert result.outcome(1).wall_time < 0.5 and result.outcome(2).wall_time < 0.5
+
+    def test_a_spawned_node_that_closes_its_pipes_is_still_ended_by_the_deadline(self):
+        spec = LaunchSpec(program=CLOSES_ITS_PIPES_AND_SLEEPS, no_nodes=2, fl_srv_id=0,
+                          base_port=7000, per_node_timeout=1.0)
+        started = time.monotonic()
+        result = launch_all(spec)
+        elapsed = time.monotonic() - started
+        assert [o.timed_out for o in result.per_node] == [True, True]
+        assert [o.exit_code for o in result.per_node] == [-signal.SIGTERM] * 2
+        assert not result.overall_success
+        assert elapsed < 1.0 + launcher.TERMINATION_GRACE
 
     def test_hung_forked_node_is_terminated_within_grace(self):
         # node 1 crashes after phase I; its peers would wait 30 s for its
